@@ -95,7 +95,8 @@ class Pt:
     weight: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", Fraction(self.weight))
+        if type(self.weight) is not Fraction:  # skip the copy on the hot path
+            object.__setattr__(self, "weight", Fraction(self.weight))
         if self.kind.multiplicative and self.weight == 0:
             raise ZeroMultiplicativeWeight("multiplicative weight must be nonzero")
 

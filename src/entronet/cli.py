@@ -9,11 +9,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import affine as af
 from . import dsl, render, rewrite
-from .groupnet.cohomology import central_extension, h_solver
+from .groupnet.cohomology import (
+    SYSTEM_SIZE_BOUND,
+    SizeBoundExceeded,
+    central_extension,
+    check_system_size,
+    h_solver,
+)
 from .groupnet.catalog import binomial_cocycle, carry, pmi_cocycle, witt, ProbSpace
 from .groupnet.diagrams import (
     eval_alpha_c,
@@ -22,7 +29,7 @@ from .groupnet.diagrams import (
     eval_alpha_u,
     validate_gdiagram,
 )
-from .groupnet.groups import GModule, Group
+from .groupnet.groups import GModule, Group, GroupValidationError
 from .jspace import EntropyScalar, render_float
 from .scalars import parse_rational
 
@@ -251,31 +258,52 @@ def cmd_extension(args) -> int:
     return EXIT_OK
 
 
-def _parse_group_spec(spec: str) -> Group:
+def _spec_ints(spec: str, rest: str) -> list[int]:
+    try:
+        return [int(x) for x in rest.split(",")]
+    except ValueError:
+        raise CliError(f"bad spec {spec!r}: expected comma-separated integers", EXIT_USAGE)
+
+
+def _parse_group_spec(spec: str, rank: int, degree: int) -> Group:
     kind, _, rest = spec.partition(":")
-    if kind == "cyclic":
-        return Group.cyclic(int(rest))
+    if kind not in ("cyclic", "aff1modp", "product"):
+        raise CliError(f"unknown group spec {spec!r}", EXIT_USAGE)
+    nums = _spec_ints(spec, rest)
+    if kind != "product" and len(nums) != 1:
+        raise CliError(f"bad spec {spec!r}: expected one integer", EXIT_USAGE)
+    order = nums[0] * (nums[0] - 1) if kind == "aff1modp" else math.prod(nums)
+    check_system_size(order, rank, degree)  # before the group's tables are built
     if kind == "aff1modp":
-        return Group.aff1_mod_p(int(rest))
-    if kind == "product":
-        parts = [int(x) for x in rest.split(",")]
-        g = Group.cyclic(parts[0])
-        for n in parts[1:]:
-            g = Group.direct_product(g, Group.cyclic(n))
-        return g
-    raise CliError(f"unknown group spec {spec!r}", EXIT_USAGE)
+        return Group.aff1_mod_p(nums[0])
+    g = Group.cyclic(nums[0])
+    for n in nums[1:]:
+        g = Group.direct_product(g, Group.cyclic(n))
+    return g
+
+
+def _largest_order(degree: int) -> int:
+    """The largest group order whose H^degree with one modulus is within the bound."""
+    n = 2
+    while n ** (degree + 1) <= SYSTEM_SIZE_BOUND:
+        n += 1
+    return n
 
 
 def cmd_h2(args) -> int:
-    G = _parse_group_spec(args.group)
     kind, _, rest = args.module.partition(":")
     if kind != "z":
         raise CliError(f"unknown module spec {args.module!r}", EXIT_USAGE)
-    moduli = tuple(int(x) for x in rest.split(","))
+    moduli = _spec_ints(args.module, rest)
     if args.action != "trivial":
         raise CliError("only the trivial action is available from the command line", EXIT_USAGE)
-    U = GModule.trivial(G, moduli)
-    factors, _ = h_solver(G, U, args.degree)
+    try:
+        G = _parse_group_spec(args.group, len(moduli), args.degree)
+        factors, _ = h_solver(G, GModule.trivial(G, moduli), args.degree)
+    except SizeBoundExceeded as exc:
+        raise CliError(str(exc), EXIT_USAGE)
+    except GroupValidationError as exc:
+        raise CliError(str(exc), EXIT_VALIDATION)
     order = 1
     for f in factors:
         order *= f
@@ -284,36 +312,43 @@ def cmd_h2(args) -> int:
     return EXIT_OK
 
 
+def _catalog_cocycle(args):
+    """The named cocycle; ValueError for a parameter it does not accept."""
+    if args.which == "carry":
+        return carry(args.n)
+    if args.which == "witt":
+        return witt(args.p)
+    if args.which == "binomial":
+        return binomial_cocycle(args.max)
+    masses = {}
+    for tok in args.masses.split(";"):
+        name, _, val = tok.partition("=")
+        masses[name.strip()] = parse_rational(val)
+    return pmi_cocycle(ProbSpace(masses))
+
+
 def cmd_catalog(args) -> int:
     from .groupnet.cohomology import verify_cocycle2
 
+    try:
+        c = _catalog_cocycle(args)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(str(exc), EXIT_USAGE)
     if args.which == "carry":
-        c = carry(args.n)
         ok = verify_cocycle2(c)
         lines = [f"carry({args.n}) verified: {ok}"]
         payload = {"verified": ok}
     elif args.which == "witt":
-        c = witt(args.p)
         ok = verify_cocycle2(c)
         values = {f"({x},{y})": c(x, y)[0] for x in range(args.p) for y in range(args.p)}
         lines = [f"witt({args.p}) verified: {ok}"]
         payload = {"verified": ok, "values": values}
     elif args.which == "binomial":
-        c = binomial_cocycle(args.max)
         ok = c.verify()
         lines = [f"binomial up to {args.max} verified: {ok}"]
         payload = {"verified": ok}
     else:
-        masses = {}
-        for tok in args.masses.split(";"):
-            name, _, val = tok.partition("=")
-            masses[name.strip()] = parse_rational(val)
-        try:
-            space = ProbSpace(masses)
-            c = pmi_cocycle(space)
-            ok = c.verify()
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_USAGE)
+        ok = c.verify()
         lines = [f"pmi verified: {ok}"]
         payload = {"verified": ok}
     _emit(args, lines, payload)
@@ -397,7 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extension)
 
     p = sub.add_parser("h2", help="cohomology of a finite group")
-    p.add_argument("--group", required=True, help="cyclic:N | product:N1,N2 | aff1modp:P")
+    p.add_argument(
+        "--group",
+        required=True,
+        help=f"cyclic:N | product:N1,N2 | aff1modp:P; with one modulus, the largest "
+        f"order supported is {_largest_order(2)} for H^2 and {_largest_order(1)} for H^1",
+    )
     p.add_argument("--module", required=True, help="z:M or z:M1,M2")
     p.add_argument("--action", default="trivial")
     p.add_argument("--degree", type=int, default=2, choices=[1, 2])

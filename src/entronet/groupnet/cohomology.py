@@ -1,13 +1,29 @@
 """Cocycles on finite groups, central extensions, and H^1/H^2 computation.
 
-Cochains are total value tables.  The solver sets up the cocycle and
-coboundary conditions as integer linear systems modulo the module's
-exponents and reduces the quotient with integer Smith normal form; small
-cases can be cross-checked against exhaustive enumeration.
+Cochains are total value tables.  The solver works on normalized cochains
+as integer vectors with one unknown per (cell, coordinate), N in all.  With
+L the exponent of the module, it brings the cocycle conditions, scaled to
+modulus L, together with L*Z^N into one echelon form H modulo L
+(Storjohann-Mulders); the cocycles are then exactly L * H^-1 Z^N.  The
+coboundaries and the moduli, in that basis, have a second echelon form in
+which most pivots are 1; the rest give one small Smith normal form, whose
+diagonal is the invariant factors and whose transform gives the
+representatives.  Only the conditions whose first argument lies in a
+generating set of G are used; the others follow from them.
+
+Systems with more than SYSTEM_SIZE_BOUND cocycle conditions are refused
+before any matrix is built.  Measured on a 2-vCPU Intel Xeon host (Python
+3.11, median of three), with every representative verified: H^2 with
+coefficients Z/|G| of the cyclic groups of order 8, 12, 16, 24 and 33 in
+0.007, 0.03, 0.07, 0.2 and 0.6 s; of C2 x C12 with Z/12 in 0.56 s, of
+C4 x C8 with Z/8 in 1.4 s, and of (C2)^5 with Z/2, 15 factors, in 6.4 s,
+6.0 s of it in verify_cocycle2.  Small cases can be cross-checked against
+exhaustive enumeration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -18,7 +34,23 @@ class SizeBoundExceeded(ValueError):
     pass
 
 
-GROUP_SIZE_BOUND = 64
+# Cocycle conditions of the largest system h_solver and is_coboundary2
+# accept: H^2 with one modulus up to order 33, H^1 up to order 182.
+SYSTEM_SIZE_BOUND = 2**15
+
+
+def check_system_size(order: int, rank: int, degree: int) -> None:
+    """Refuse H^degree over a group of this order with rank-`rank` coefficients
+    if its (order-1)^(degree+1) * rank cocycle conditions exceed the bound.
+
+    That count is also the work of verifying one representative.
+    """
+    size = max(order - 1, 0) ** (degree + 1) * rank
+    if size > SYSTEM_SIZE_BOUND:
+        raise SizeBoundExceeded(
+            f"H^{degree} over a group of order {order} with rank-{rank} coefficients has {size} "
+            f"cocycle conditions, over the bound of {SYSTEM_SIZE_BOUND}"
+        )
 
 
 @dataclass(frozen=True)
@@ -259,269 +291,235 @@ def integer_kernel(mat) -> list[list[int]]:
     return [[T[r][j] for r in range(n)] for j in range(rank, n)]
 
 
-def solve_columns(basis_cols: list[list[int]], targets: list[list[int]]) -> list[list[int]]:
-    """Solve B z = w over the integers for each target w (B square, full rank)."""
-    N = len(basis_cols[0])
-    mat = [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(N)]
-    D, S, T, _, _ = smith_normal_form(mat)
-    out = []
-    for w in targets:
-        sw = [sum(S[i][r] * w[r] for r in range(N)) for i in range(N)]
-        y = []
-        for i in range(N):
-            d = D[i][i] if i < len(D[0]) else 0
-            if d == 0:
-                if sw[i] != 0:
-                    raise ArithmeticError("target outside the lattice")
-                y.append(0)
-            else:
-                if sw[i] % d != 0:
-                    raise ArithmeticError("target outside the lattice")
-                y.append(sw[i] // d)
-        z = [sum(T[i][j] * y[j] for j in range(len(y))) for i in range(N)]
-        out.append(z)
+# ---------------------------------------------------------------------------
+# Echelon form modulo L, on sparse rows {column: entry}.
+
+
+def _combine(s: int, a: dict[int, int], t: int, b: dict[int, int], L: int) -> dict[int, int]:
+    """s*a + t*b modulo L, without zero entries."""
+    out = {k: x for k, v in a.items() if (x := s * v % L)}
+    for k, v in b.items():
+        x = (out.get(k, 0) + t * v) % L
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
     return out
+
+
+def _echelon_mod(rows, L: int, N: int) -> list[dict[int, int]]:
+    """Upper-triangular basis H of the lattice spanned by ``rows`` and L*Z^N.
+
+    Row j of H has no entries left of column j, a positive divisor of L on
+    the diagonal and entries in [1, L) right of it.  Because L*Z^N lies in
+    the lattice, every step may reduce modulo L (Storjohann-Mulders): H
+    starts as L*I, and a row meeting a pivot is merged with it by an
+    extended gcd, a unimodular step on the pair.  Each merge sends the part
+    of the row that the new pivot row leaves over to the rows below, and that
+    part carries the new row's annihilator (L/p)*H[j] mod L with it.  So the
+    annihilators stay in the span of the rows below, the integer span of H
+    contains L*Z^N, and it equals the lattice, not only modulo L.
+    """
+    H = [{j: L} for j in range(N)]
+
+    def absorb(a: dict[int, int]) -> None:
+        while a:
+            j = min(a)
+            h, p, x = H[j], H[j][j], a[j]
+            if x % p == 0:
+                a = _combine(1, a, -(x // p), h, L)
+                continue
+            g = math.gcd(p, x)
+            t = pow(x // g, -1, p // g)  # s*p + t*x == g
+            s = (g - t * x) // p
+            H[j], a = _combine(s, h, t, a, L), _combine(p // g, a, -(x // g), h, L)
+
+    for row in rows:
+        absorb(_combine(1, row, 0, {}, L))
+    return H
+
+
+def _reduce(H: list[dict[int, int]], v: dict[int, int], L: int) -> dict[int, int]:
+    """What is left of v after subtracting rows of an ``_echelon_mod`` basis H.
+
+    The result is empty exactly when v lies in the lattice that H spans.
+    """
+    v = _combine(1, v, 0, {}, L)
+    while v:
+        j = min(v)
+        q, rem = divmod(v[j], H[j][j])
+        if rem:
+            break
+        v = _combine(1, v, -q, H[j], L)
+    return v
 
 
 # ---------------------------------------------------------------------------
 # The solver.
 
 
-def _pair_vars(n: int, rank: int):
-    pairs = [(g, h) for g in range(1, n) for h in range(1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
+def _generators(G: Group) -> list[int]:
+    """A generating set of G, picked greedily in index order."""
+    gens: list[int] = []
+    span = {0}
+    for g in G.elements():
+        if g not in span:
+            gens.append(g)
+            while new := {G.mul(x, s) for x in span for s in gens} - span:
+                span |= new
+    return gens
 
-    def var(pair, coord):
-        return index[pair] * rank + coord
 
-    return pairs, index, var
+def _delta_rows(U: GModule, k: int, firsts) -> list[dict[int, int]]:
+    """Rows of the coboundary C^k -> C^(k+1) on normalized cochains.
 
-
-def _cocycle_system(U: GModule):
-    """Rows (as dicts) and row moduli of the normalized 2-cocycle conditions."""
+    One row per argument tuple (s, g_1, ..., g_k), s in ``firsts`` and each
+    g_i a nonidentity element, and per coordinate of U, in that order.  A row
+    holds the coefficients of d(f)(s, g_1, ..., g_k) = s f(g_1, ...) -
+    f(s g_1, ...) + ... on the unknowns f(cell)[coord], numbered
+    cell_index * rank + coord over the nonidentity cells in ``product`` order.
+    """
     G = U.group
     n, r = G.order, U.rank
-    pairs, _, var = _pair_vars(n, r)
-    rows: list[dict[int, int]] = []
-    moduli: list[int] = []
-    for s, t, g in product(range(1, n), repeat=3):
-        st, tg = G.mul(s, t), G.mul(t, g)
+    index = {cell: i * r for i, cell in enumerate(product(range(1, n), repeat=k))}
+    rows = []
+    for s in firsts:
         mat = U.action_matrix(s)
-        for coord in range(r):
-            row: dict[int, int] = {}
-
-            def bump(pair, coefs):
-                if pair[0] == 0 or pair[1] == 0:
-                    return
-                for jc, coef in coefs:
-                    if coef:
-                        k = var(pair, jc)
-                        row[k] = row.get(k, 0) + coef
-
-            bump((t, g), [(j, mat[coord][j]) for j in range(r)])
-            bump((s, t), [(coord, -1)])
-            bump((st, g), [(coord, -1)])
-            bump((s, tg), [(coord, 1)])
-            if row:
-                rows.append(row)
-                moduli.append(U.moduli[coord])
-    return pairs, rows, moduli
+        for rest in product(range(1, n), repeat=k):
+            args = (s,) + rest
+            terms = [
+                (args[:i] + (G.mul(args[i], args[i + 1]),) + args[i + 2:], (-1) ** (i + 1))
+                for i in range(k)
+            ] + [(args[:k], (-1) ** (k + 1))]
+            for coord in range(r):
+                row = {index[rest] + j: a for j, a in enumerate(mat[coord]) if a}
+                for cell, sign in terms:
+                    if cell in index:  # a cell with an identity argument is zero
+                        var = index[cell] + coord
+                        row[var] = row.get(var, 0) + sign
+                rows.append({var: a for var, a in row.items() if a})
+    return rows
 
 
-def _coboundary_columns(U: GModule):
-    """Columns of the coboundary map from normalized 1-cochains, in pair coords."""
-    G = U.group
-    n, r = G.order, U.rank
-    pairs, _, var = _pair_vars(n, r)
-    N = len(pairs) * r
-    cols = []
-    for x in range(1, n):
-        for coord in range(r):
-            col = [0] * N
-            # b supported at x with value e_coord; d(b)(s,t) = b(s)+s b(t)-b(st)
-            for s, t in pairs:
-                st = G.mul(s, t)
-                acc = [0] * r
-                if s == x:
-                    acc[coord] += 1
-                if t == x:
-                    mat = U.action_matrix(s)
-                    for i in range(r):
-                        acc[i] += mat[i][coord]
-                if st == x:
-                    acc[coord] -= 1
-                for i in range(r):
-                    if acc[i]:
-                        col[var((s, t), i)] += acc[i]
-            cols.append(col)
-    return cols
+def _coboundary_lattice(U: GModule, degree: int) -> list[dict[int, int]]:
+    """Generators of B + M: the vectors m_k e_k, m_k the modulus of unknown k,
+    then the coboundaries of the unit (degree-1)-cochains."""
+    n, r = U.group.order, U.rank
+    cob: list[dict[int, int]] = [{} for _ in range((n - 1) ** (degree - 1) * r)]
+    for i, row in enumerate(_delta_rows(U, degree - 1, range(1, n))):
+        for var, a in row.items():
+            cob[var][i] = a
+    return [{k: U.moduli[k % r]} for k in range((n - 1) ** degree * r)] + cob
 
 
-def _cochain1_system(U: GModule):
-    G = U.group
-    n, r = G.order, U.rank
-    elems = list(range(1, n))
-    index = {g: i for i, g in enumerate(elems)}
+def _cohomology(U: GModule, degree: int, N: int):
+    """Invariant factors and cocycle vectors of H^degree = Z / (B + M).
 
-    def var(g, coord):
-        return index[g] * r + coord
-
-    rows, moduli = [], []
-    for s, t in product(elems, repeat=2):
-        st = G.mul(s, t)
-        mat = U.action_matrix(s)
-        for coord in range(r):
-            row: dict[int, int] = {}
-            if st != 0:
-                row[var(st, coord)] = row.get(var(st, coord), 0) + 1
-            row[var(s, coord)] = row.get(var(s, coord), 0) - 1
-            for j in range(r):
-                if mat[coord][j]:
-                    k = var(t, j)
-                    row[k] = row.get(k, 0) - mat[coord][j]
-            if row:
-                rows.append(row)
-                moduli.append(U.moduli[coord])
-    cols = []
-    for jc in range(r):
-        col = [0] * (len(elems) * r)
-        e = tuple(1 if i == jc else 0 for i in range(r))
-        for g in elems:
-            val = U.sub(U.act(g, e), e)
-            for i in range(r):
-                col[var(g, i)] += val[i]
-        cols.append(col)
-    return elems, rows, moduli, cols
-
-
-def _solution_lattice(rows, row_moduli, N):
-    """Basis columns for {x : rows . x == 0 mod row moduli} inside Z^N."""
-    R = len(rows)
-    mat = [[0] * (N + R) for _ in range(R)]
-    for i, row in enumerate(rows):
-        for j, coef in row.items():
-            mat[i][j] = coef
-        mat[i][N + i] = row_moduli[i]
-    kernel = integer_kernel(mat)
-    return [col[:N] for col in kernel]
-
-
-def _lattice_basis(cols, N):
-    """A square basis of the full-rank lattice spanned by the given columns."""
-    mat = [[col[i] for col in cols] for i in range(N)]
-    D, _, _, Sinv, _ = smith_normal_form(mat)
-    basis = []
-    for i in range(N):
-        d = D[i][i] if i < min(len(D), len(D[0]) if D else 0) else 0
-        if d == 0:
-            raise ArithmeticError("lattice is not full rank")
-        basis.append([Sinv[r][i] * d for r in range(N)])
-    return basis
-
-
-def _quotient(lattice_basis_cols, sub_cols, N):
-    """Invariant factors and generator columns of (lattice / sub-lattice)."""
-    zs = solve_columns(lattice_basis_cols, sub_cols)
-    k = len(zs)
-    mat = [[zs[j][i] for j in range(k)] for i in range(N)]
-    D, _, _, Sinv, _ = smith_normal_form(mat)
-    factors, gens = [], []
-    for i in range(N):
-        d = abs(D[i][i]) if i < min(N, k) else 0
-        if d == 0:
-            raise ArithmeticError("quotient is not finite")
-        if d == 1:
+    Z is the lattice of integer cochain vectors that are cocycles modulo the
+    moduli, B the coboundaries and M the vectors zero modulo the moduli.
+    """
+    G, r = U.group, U.rank
+    L = math.lcm(*U.moduli)
+    # Z = {x : rows . x == 0 mod L} = L * H^-1 Z^N, H the echelon basis of
+    # the rows scaled to L and L*Z^N.  Only rows whose first argument is a
+    # generator are needed: by d(dc) = 0, the first arguments for which the
+    # cocycle law holds are closed under products.  Taken last first, the
+    # rows keep the pivot rows sparse.
+    rows = _delta_rows(U, degree, _generators(G))
+    scaled = [
+        {var: a * (L // U.moduli[i % r]) for var, a in row.items()} for i, row in enumerate(rows)
+    ]
+    H = _echelon_mod(reversed(scaled), L, N)
+    # The generators g of B + M have coordinates H g / L in that basis of Z,
+    # so H^degree = Z^N / span(Q) with Q their echelon basis.
+    cols: list[dict[int, int]] = [{} for _ in range(N)]
+    for i, h in enumerate(H):
+        for k, a in h.items():
+            cols[k][i] = a
+    coords = []
+    for g in _coboundary_lattice(U, degree):
+        acc: dict[int, int] = {}
+        for k, a in g.items():
+            for i, b in cols[k].items():
+                acc[i] = acc.get(i, 0) + a * b
+        coords.append({i: v // L for i, v in acc.items()})
+    Q = _echelon_mod(coords, L, N)
+    # A unit pivot eliminates its coordinate, so the quotient is Z^J /
+    # span(small) on the other pivot columns J, once the unit columns are
+    # cleared from their rows.
+    J = [j for j in range(N) if Q[j][j] > 1]
+    if not J:
+        return [], []
+    small = []
+    for i in J:
+        row = Q[i]
+        for j in range(i + 1, N):
+            if j in row and Q[j][j] == 1:
+                row = _combine(1, row, -row[j], Q[j], L)
+        small.append([row.get(j, 0) for j in J])
+    D, _, _, _, Tinv = smith_normal_form(small)
+    # Generator m of Z^J / span(small) is row m of Tinv; its cocycle x
+    # solves H x = L z.  Back-substitution modulo L * det(H) keeps every
+    # division exact and moves x only by L*Z^N, which lies in M.
+    K = L * math.prod(H[i][i] for i in range(N))
+    factors, vecs = [], []
+    for m in range(len(J)):
+        if D[m][m] == 1:
             continue
-        factors.append(d)
-        gen_z = [Sinv[r][i] for r in range(N)]
-        gen_x = [
-            sum(lattice_basis_cols[j][r] * gen_z[j] for j in range(N)) for r in range(N)
-        ]
-        gens.append(gen_x)
-    return factors, gens
+        z = dict(zip(J, Tinv[m]))
+        x = [0] * N
+        for i in range(N - 1, -1, -1):
+            acc_i = L * z.get(i, 0) - sum(a * x[k] for k, a in H[i].items() if k != i)
+            x[i] = acc_i // H[i][i] % K
+        factors.append(D[m][m])
+        vecs.append(x)
+    return factors, vecs
 
 
-def _vector_to_cocycle2(U: GModule, pairs, vec) -> Cocycle2:
-    G = U.group
-    n, r = G.order, U.rank
-    table = [[U.zero() for _ in range(n)] for _ in range(n)]
-    for idx, (g, h) in enumerate(pairs):
-        table[g][h] = U.reduce(tuple(vec[idx * r + c] for c in range(r)))
-    return Cocycle2(U, tuple(tuple(row) for row in table))
-
-
-def _vector_to_cocycle1(U: GModule, elems, vec) -> Cocycle1:
-    r = U.rank
-    values = [U.zero()] * U.group.order
-    for idx, g in enumerate(elems):
-        values[g] = U.reduce(tuple(vec[idx * r + c] for c in range(r)))
-    return Cocycle1(U, tuple(values))
+def _to_cochain(U: GModule, degree: int, vec):
+    G, r = U.group, U.rank
+    cells = product(range(1, G.order), repeat=degree)
+    values = {cell: U.reduce(vec[i * r:(i + 1) * r]) for i, cell in enumerate(cells)}
+    if degree == 1:
+        return Cocycle1(U, tuple(values.get((g,), U.zero()) for g in G.elements()))
+    return Cocycle2(U, tuple(
+        tuple(values.get((g, h), U.zero()) for h in G.elements()) for g in G.elements()
+    ))
 
 
 def h_solver(G: Group, U: GModule, degree: int):
     """Invariant factors and representative cocycles of H^degree(G, U).
 
-    Works with normalized cochains; the group order is capped at 64.
-    Returns (factors, representatives); factors exclude trivial 1s.
+    Works with normalized cochains.  Returns (factors, representatives);
+    factors exclude trivial 1s.  Raises SizeBoundExceeded past
+    SYSTEM_SIZE_BOUND (see check_system_size).
     """
     if U.group is not G:
         raise ValueError("module must be over the given group")
-    if G.order > GROUP_SIZE_BOUND:
-        raise SizeBoundExceeded(f"group order {G.order} exceeds bound {GROUP_SIZE_BOUND}")
-    if degree == 2:
-        pairs, rows, row_moduli, = _cocycle_system(U)
-        N = len(pairs) * U.rank
-        cob_cols = _coboundary_columns(U)
-        to_cocycle = lambda vec: _vector_to_cocycle2(U, pairs, vec)
-    elif degree == 1:
-        elems, rows, row_moduli, cob_cols = _cochain1_system(U)
-        N = len(elems) * U.rank
-        to_cocycle = lambda vec: _vector_to_cocycle1(U, elems, vec)
-    else:
+    if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
+    check_system_size(G.order, U.rank, degree)
+    N = (G.order - 1) ** degree * U.rank
     if N == 0:
         return [], []
-    var_moduli_cols = [
-        [U.moduli[i % U.rank] if r == i else 0 for r in range(N)] for i in range(N)
-    ]
-    lattice = _solution_lattice(rows, row_moduli, N)
-    basis = _lattice_basis(lattice, N)
-    sub = cob_cols + var_moduli_cols
-    factors, gen_vecs = _quotient(basis, sub, N)
-    reps = [to_cocycle(vec) for vec in gen_vecs]
-    if degree == 2:
-        assert all(verify_cocycle2(rep) for rep in reps)
-    else:
-        assert all(verify_cocycle1(rep) for rep in reps)
+    factors, vecs = _cohomology(U, degree, N)
+    reps = [_to_cochain(U, degree, vec) for vec in vecs]
+    verify = verify_cocycle2 if degree == 2 else verify_cocycle1
+    assert all(verify(rep) for rep in reps)
     return factors, reps
 
 
 def is_coboundary2(c: Cocycle2) -> bool:
-    """Whether c is d(b) for some normalized 1-cochain b (integer solve)."""
+    """Whether c is d(b) for some normalized 1-cochain b."""
     U = c.module
     G = U.group
-    n, r = G.order, U.rank
-    pairs, _, var = _pair_vars(n, r)
-    N = len(pairs) * r
-    cols = _coboundary_columns(U)
-    cols = cols + [[U.moduli[i % r] if row == i else 0 for row in range(N)] for i in range(N)]
-    target = [0] * N
-    for idx, (g, h) in enumerate(pairs):
-        val = c(g, h)
-        for coord in range(r):
-            target[idx * r + coord] = val[coord]
-    mat = [[col[i] for col in cols] for i in range(N)]
-    D, S, _, _, _ = smith_normal_form(mat)
-    k = len(cols)
-    sw = [sum(S[i][rr] * target[rr] for rr in range(N)) for i in range(N)]
-    for i in range(N):
-        d = D[i][i] if i < min(N, k) else 0
-        if d == 0:
-            if sw[i] != 0:
-                return False
-        elif sw[i] % d != 0:
-            return False
-    return True
+    check_system_size(G.order, U.rank, 2)
+    N = (G.order - 1) ** 2 * U.rank
+    L = math.lcm(*U.moduli)
+    H = _echelon_mod(_coboundary_lattice(U, 2), L, N)
+    cells = product(range(1, G.order), repeat=2)
+    target = {i * U.rank + k: x for i, (g, h) in enumerate(cells) for k, x in enumerate(c(g, h))}
+    return not _reduce(H, target, L)
 
 
 def h_exhaustive(G: Group, U: GModule, degree: int = 2):

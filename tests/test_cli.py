@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from entronet import cli, dsl
 
 FIXTURES = os.path.join(os.path.dirname(dsl.__file__), "fixtures")
@@ -177,6 +179,29 @@ def test_render_command(capsys, tmp_path):
     import xml.etree.ElementTree as ET
 
     ET.parse(out_path)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (("h2", "--group", "cyclic:x", "--module", "z:2"), cli.EXIT_USAGE),
+        (("h2", "--group", "cyclic:0", "--module", "z:2"), cli.EXIT_VALIDATION),
+        (("h2", "--group", "cyclic:2", "--module", "z:0"), cli.EXIT_VALIDATION),
+        (("catalog", "carry", "--n", "0"), cli.EXIT_USAGE),
+        (("catalog", "witt", "--p", "4"), cli.EXIT_USAGE),
+        (("h2", "--group", "cyclic:65", "--module", "z:2"), cli.EXIT_USAGE),
+        (("h2", "--group", "cyclic:34", "--module", "z:2"), cli.EXIT_USAGE),
+        (("h2", "--group", "product:2,x", "--module", "z:2"), cli.EXIT_USAGE),
+        (("h2", "--group", "aff1modp:4", "--module", "z:2"), cli.EXIT_VALIDATION),
+        (("h2", "--group", "cyclic:2", "--module", "z:"), cli.EXIT_USAGE),
+        (("catalog", "pmi", "--masses", "a=x"), cli.EXIT_USAGE),
+    ],
+)
+def test_bad_input_exit_codes(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert out == ""
 
 
 def test_usage_errors(capsys):

@@ -1,12 +1,17 @@
 import math
+from itertools import product
 
 import pytest
 
 from entronet.groupnet.cohomology import (
+    SYSTEM_SIZE_BOUND,
     Cocycle1,
     Cocycle2,
     SizeBoundExceeded,
+    _echelon_mod,
+    _reduce,
     central_extension,
+    check_system_size,
     coboundary1,
     coboundary2,
     h_exhaustive,
@@ -21,7 +26,7 @@ from entronet.groupnet.cohomology import (
 )
 from entronet.groupnet.catalog import carry
 from entronet.groupnet.groups import GModule, Group, GroupValidationError
-from entronet.sampling import random_normalized_cocycle, seeded_rng
+from entronet.sampling import random_gmodule, random_normalized_cocycle, seeded_rng
 
 
 # -- groups and modules ---------------------------------------------------------
@@ -282,3 +287,149 @@ def test_size_bound():
         h_solver(G, U, 2)
     with pytest.raises(SizeBoundExceeded):
         h_exhaustive(Group.cyclic(6), GModule.trivial(Group.cyclic(6), (6,)))
+    # order 33 is the last within the bound for H^2 with one modulus
+    assert 32**3 <= SYSTEM_SIZE_BOUND < 33**3
+    check_system_size(33, 1, 2)
+    G = Group.cyclic(34)
+    with pytest.raises(SizeBoundExceeded):
+        h_solver(G, GModule.trivial(G, (2,)), 2)
+    with pytest.raises(SizeBoundExceeded):
+        is_coboundary2(Cocycle2(GModule.trivial(G, (2,)), ((((0,),) * 34),) * 34))
+
+
+# -- oracles: sympy normal forms, exhaustive search, closed forms ----------------
+
+
+def _orders(factors) -> tuple[int, ...]:
+    """Element-order multiset of the direct sum of Z/f for f in factors."""
+    return tuple(sorted(
+        math.lcm(*(f // math.gcd(x, f) for x, f in zip(elem, factors)))
+        for elem in product(*(range(f) for f in factors))
+    ))
+
+
+def test_snf_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = seeded_rng(306)
+    for _ in range(60):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1] = [2 * x - y for x, y in zip(A[0], A[1 % m])]  # force a rank drop
+        D = smith_normal_form(A)[0]
+        ours = [D[i][i] for i in range(min(m, n)) if D[i][i]]
+        want = [int(d) for d in invariant_factors(sympy.Matrix(A)) if d]
+        assert ours == want
+
+
+def test_echelon_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = seeded_rng(307)
+    for _ in range(300):
+        m, N, L = rng.randint(0, 8), rng.randint(1, 8), rng.choice([1, 2, 4, 6, 8, 12, 30])
+        A = [[rng.randint(-12, 12) * (rng.random() < 0.5) for _ in range(N)] for _ in range(m)]
+        H = _echelon_mod([{k: a for k, a in enumerate(row) if a} for row in A], L, N)
+        dense = [[H[i].get(k, 0) for k in range(N)] for i in range(N)]
+        for i, row in enumerate(dense):
+            assert all(x == 0 for x in row[:i]) and L % row[i] == 0
+            assert all(0 <= x < L for x in row[i + 1:])
+        stacked = sympy.Matrix(A or sympy.zeros(0, N)).col_join(L * sympy.eye(N))
+        assert invariant_factors(sympy.Matrix(dense)) == invariant_factors(stacked)
+        # same index, and every generator lies in the span of H: same lattice
+        for row in A + [[L if k == j else 0 for k in range(N)] for j in range(N)]:
+            assert not _reduce(H, {k: a for k, a in enumerate(row) if a}, L)
+
+
+def _assert_matches_exhaustive(G, U):
+    factors, reps = h_solver(G, U, 2)
+    assert h_exhaustive(G, U) == (math.prod(factors), _orders(factors))
+    for rep in reps:
+        assert verify_cocycle2(rep) and not is_coboundary2(rep)
+
+
+def _random_module(rng, G, gens):
+    """A seeded random module over G with a nontrivial action: moduli, and one
+    matrix per generator, redrawn until the action is valid and nontrivial."""
+    words = {0: []}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for i, s in enumerate(gens):
+            y = G.mul(x, s)
+            if y not in words:
+                words[y] = words[x] + [i]
+                frontier.append(y)
+    while True:
+        moduli = rng.choice([(3,), (4,), (5,), (6,), (7,), (8,), (2, 2), (2, 4), (2, 3), (3, 3)])
+        r = len(moduli)
+        mats = [[[rng.randrange(max(moduli)) for _ in range(r)] for _ in range(r)] for _ in gens]
+        action = {}
+        for g, word in words.items():
+            acc = [[int(i == j) for j in range(r)] for i in range(r)]
+            for i in word:
+                acc = [
+                    [sum(acc[a][k] * mats[i][k][b] for k in range(r)) % moduli[a] for b in range(r)]
+                    for a in range(r)
+                ]
+            action[g] = acc
+        try:
+            U = GModule(G, moduli, action)
+        except GroupValidationError:
+            continue
+        if any(U.action_matrix(g) != U.action_matrix(0) for g in words):
+            return U
+
+
+# Exhaustive search spaces are kept to 2^15 tables: one of 2^18 (C2 x C2 with
+# Z/4) takes about a minute to enumerate, one of 3^9 about 5 s.
+EXHAUSTIVE_CAP = 2**15
+
+
+def test_h2_differential_against_exhaustive():
+    rng = seeded_rng(308)
+    c2, c3 = Group.cyclic(2), Group.cyclic(3)
+    v4 = Group.direct_product(c2, c2)
+    for G, moduli in ((c2, (2, 4)), (c3, (2, 3))):  # mixed moduli
+        _assert_matches_exhaustive(G, GModule.trivial(G, moduli))
+    for G, gens, draws in ((c2, [1], 5), (c3, [1], 5), (v4, [1, 2], 1)):
+        for _ in range(6):
+            U = random_gmodule(rng, G)
+            if U.size() ** ((G.order - 1) ** 2) <= EXHAUSTIVE_CAP:
+                _assert_matches_exhaustive(G, U)
+        while draws:
+            U = _random_module(rng, G, gens)
+            if U.size() ** ((G.order - 1) ** 2) <= EXHAUSTIVE_CAP:
+                _assert_matches_exhaustive(G, U)
+                draws -= 1
+
+
+def test_h2_gcd_law():
+    for n in range(1, 11):
+        G = Group.cyclic(n)
+        for m in range(1, 11):
+            factors, reps = h_solver(G, GModule.trivial(G, (m,)), 2)
+            g = math.gcd(n, m)
+            assert factors == ([] if g == 1 else [g])
+            for rep in reps:
+                assert verify_cocycle2(rep) and not is_coboundary2(rep)
+
+
+def test_h1_trivial_module_is_hom():
+    v4 = Group.direct_product(Group.cyclic(2), Group.cyclic(2))
+    groups = [Group.cyclic(n) for n in (2, 3, 4, 6)] + [v4, Group.aff1_mod_p(3)]
+    for G in groups:
+        for moduli in ((2,), (3,), (4,), (6,), (2, 2), (2, 3)):
+            U = GModule.trivial(G, moduli)
+            factors, reps = h_solver(G, U, 1)
+            homs, pairs = [], list(product(G.elements(), repeat=2))
+            for values in product(list(U.elements()), repeat=G.order - 1):
+                f = (U.zero(),) + values
+                if all(f[G.mul(s, t)] == U.add(f[s], f[t]) for s, t in pairs):
+                    homs.append(math.lcm(*(U.element_order(u) for u in f)))
+            assert (math.prod(factors), _orders(factors)) == (len(homs), tuple(sorted(homs)))
+            for rep in reps:
+                assert verify_cocycle1(rep)
