@@ -331,6 +331,9 @@ def cmd_catalog(args) -> int:
     from .groupnet.cohomology import verify_cocycle2
 
     try:
+        if args.which in ("carry", "witt"):
+            # before the group is built: verify_cocycle2's work is cubic in the order
+            check_system_size(args.n if args.which == "carry" else args.p, 1, 2)
         c = _catalog_cocycle(args)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(str(exc), EXIT_USAGE)

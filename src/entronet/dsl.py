@@ -41,7 +41,7 @@ from .groupnet.diagrams import (
     VSplitL,
     VSplitR,
 )
-from .groupnet.groups import GModule, Group
+from .groupnet.groups import GModule, Group, GroupValidationError
 from .scalars import format_rational
 
 
@@ -871,16 +871,19 @@ def resolve(sf: SourceFile) -> Resolved:
                 )
             out.diagrams[decl.name] = af.Diagram(src, tuple(layers), decl.mode)
         elif isinstance(decl, GroupDecl):
-            if decl.ctor == "cyclic":
-                out.groups[decl.name] = Group.cyclic(decl.args[0])
-            elif decl.ctor == "aff1modp":
-                out.groups[decl.name] = Group.aff1_mod_p(decl.args[0])
-            elif decl.ctor == "product":
-                g1 = lookup(out.groups, decl.args[0], "group", decl.line, decl.col)
-                g2 = lookup(out.groups, decl.args[1], "group", decl.line, decl.col)
-                out.groups[decl.name] = Group.direct_product(g1, g2)
-            else:
-                out.groups[decl.name] = Group.from_table(decl.args[0])
+            try:
+                if decl.ctor == "cyclic":
+                    out.groups[decl.name] = Group.cyclic(decl.args[0])
+                elif decl.ctor == "aff1modp":
+                    out.groups[decl.name] = Group.aff1_mod_p(decl.args[0])
+                elif decl.ctor == "product":
+                    g1 = lookup(out.groups, decl.args[0], "group", decl.line, decl.col)
+                    g2 = lookup(out.groups, decl.args[1], "group", decl.line, decl.col)
+                    out.groups[decl.name] = Group.direct_product(g1, g2)
+                else:
+                    out.groups[decl.name] = Group.from_table(decl.args[0])
+            except GroupValidationError as exc:
+                raise ResolveError(str(exc), decl.line, decl.col)
         elif isinstance(decl, ModuleDecl):
             G = lookup(out.groups, decl.group, "group", decl.line, decl.col)
             action = None
@@ -891,7 +894,10 @@ def resolve(sf: SourceFile) -> Resolved:
                         raise ResolveError(
                             f"action table missing element {g}", decl.line, decl.col
                         )
-            out.modules[decl.name] = GModule(G, decl.moduli, action)
+            try:
+                out.modules[decl.name] = GModule(G, decl.moduli, action)
+            except GroupValidationError as exc:
+                raise ResolveError(str(exc), decl.line, decl.col)
         elif isinstance(decl, CocycleDecl):
             G = lookup(out.groups, decl.group, "group", decl.line, decl.col)
             U = lookup(out.modules, decl.module, "module", decl.line, decl.col)

@@ -1,16 +1,25 @@
 """Finite groups by multiplication table and finite abelian modules over them.
 
-Group elements are indices 0..n-1 with the identity at index 0.  A module is
-a product of cyclic groups Z/m_i; its elements are integer tuples reduced
-mod the moduli, and the group acts through per-element automorphism
-matrices.  Both structures are validated on construction.
+Group elements are indices 0..n-1 with the identity at index 0.  The table
+is a tuple of rows, each a tuple of plain ints, so ``table[i][j]`` is the
+product i*j.  A module is a product of cyclic groups Z/m_i; its elements
+are integer tuples reduced mod the moduli, and the group acts through
+per-element automorphism matrices.  Both structures are validated on
+construction.
+
+Associativity is checked by Light's test (A. H. Clifford and G. B.
+Preston, The Algebraic Theory of Semigroups I, section 1.2, 1961): the
+elements a with (x a) y = x (a y) for all x, y are closed under products,
+so it is enough to check them on a generating set.  Generators are picked
+greedily, each the first element outside the closure of those before it;
+each one at least doubles the subgroup reached, so the check costs
+O(n^2 log n) time and O(n^2) memory.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
-
-import numpy as np
 
 UElt = tuple[int, ...]
 
@@ -20,44 +29,64 @@ class GroupValidationError(ValueError):
 
 
 class Group:
-    def __init__(self, table, names: tuple[str, ...] | None = None, check: bool = True):
-        tab = np.asarray(table, dtype=np.int64)
-        if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
+    """A finite group by its multiplication table, validated on construction.
+
+    ``generators`` is the generating set Light's test picked, in index order.
+    """
+
+    def __init__(self, table, names: tuple[str, ...] | None = None):
+        try:
+            tab = tuple(tuple(map(operator.index, row)) for row in table)
+        except TypeError:
+            raise GroupValidationError("multiplication table must be a table of integers")
+        n = len(tab)
+        if any(len(row) != n for row in tab):
             raise GroupValidationError("multiplication table must be square")
         self.table = tab
-        self.order = tab.shape[0]
-        self.names = names or tuple(f"g{i}" for i in range(self.order))
-        if check:
-            self._check_axioms()
-        self.inverse = self._inverses()
+        self.order = n
+        self.names = names or tuple(f"g{i}" for i in range(n))
+        self.generators = self._check_axioms()
+        self.inverse = tuple(row.index(0) for row in tab)  # rows are permutations
 
-    def _check_axioms(self) -> None:
-        n = self.order
-        t = self.table
-        if t.min() < 0 or t.max() >= n:
+    def _check_axioms(self) -> tuple[int, ...]:
+        """Validate the table; return the generators Light's test picked."""
+        n, t = self.order, self.table
+        if any(not 0 <= x < n for row in t for x in row):
             raise GroupValidationError("table entries out of range")
-        if not (np.array_equal(t[0, :], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
+        ident = tuple(range(n))
+        cols = tuple(zip(*t))
+        if not n or t[0] != ident or cols[0] != ident:
             raise GroupValidationError("index 0 is not an identity")
         # each row/column a permutation (cancellation)
         for i in range(n):
-            if len(set(t[i, :].tolist())) != n or len(set(t[:, i].tolist())) != n:
+            if len(set(t[i])) != n or len(set(cols[i])) != n:
                 raise GroupValidationError(f"row or column {i} is not a permutation")
-        if not np.array_equal(t[t, :], t[:, t]):
-            raise GroupValidationError("multiplication is not associative")
-
-    def _inverses(self) -> np.ndarray:
-        inv = np.full(self.order, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == 0)
-        inv[rows] = cols
-        if (inv < 0).any():
-            raise GroupValidationError("missing inverses")
-        return inv
+        gens: list[int] = []
+        reached = {0}
+        for a in range(n):
+            if a in reached:
+                continue
+            # (x a) y against x (a y), one row of y at a time
+            x_ay = operator.itemgetter(*t[a])  # returns a tuple, as n >= 2 here
+            for tx, xa in zip(t, cols[a]):
+                if t[xa] != x_ay(tx):
+                    raise GroupValidationError("multiplication is not associative")
+            # Every generator so far passed, so every product of them does;
+            # with those in the middle, right multiplication by the
+            # generators reaches every product of them.
+            gens.append(a)
+            frontier = list(reached)
+            while frontier:
+                new = {t[x][g] for x in frontier for g in gens} - reached
+                reached |= new
+                frontier = list(new)
+        return tuple(gens)
 
     def mul(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        return self.table[i][j]
 
     def inv(self, i: int) -> int:
-        return int(self.inverse[i])
+        return self.inverse[i]
 
     def elements(self) -> range:
         return range(self.order)
@@ -80,7 +109,7 @@ class Group:
         return prof
 
     def is_abelian(self) -> bool:
-        return np.array_equal(self.table, self.table.T)
+        return self.table == tuple(zip(*self.table))
 
     def __len__(self) -> int:
         return self.order
@@ -94,19 +123,16 @@ class Group:
     def cyclic(cls, n: int) -> "Group":
         if n < 1:
             raise GroupValidationError("cyclic group needs n >= 1")
-        idx = np.arange(n)
-        return cls((idx[:, None] + idx[None, :]) % n, names=tuple(str(i) for i in range(n)))
+        table = [tuple(range(i, n)) + tuple(range(i)) for i in range(n)]
+        return cls(table, names=tuple(str(i) for i in range(n)))
 
     @classmethod
     def direct_product(cls, g: "Group", h: "Group") -> "Group":
-        n, m = g.order, h.order
-        table = np.zeros((n * m, n * m), dtype=np.int64)
-        for a in range(n):
-            for b in range(m):
-                for c in range(n):
-                    for d in range(m):
-                        table[a * m + b, c * m + d] = g.mul(a, c) * m + h.mul(b, d)
-        names = tuple(f"({g.names[a]},{h.names[b]})" for a in range(n) for b in range(m))
+        m = h.order
+        table = [
+            [x * m + y for x in grow for y in hrow] for grow in g.table for hrow in h.table
+        ]
+        names = tuple(f"({a},{b})" for a in g.names for b in h.names)
         return cls(table, names=names)
 
     @classmethod
@@ -118,11 +144,9 @@ class Group:
             raise GroupValidationError(f"{p} is not prime")
         elems = [(0, 1)] + [(a, c) for c in range(1, p) for a in range(p) if (a, c) != (0, 1)]
         index = {e: i for i, e in enumerate(elems)}
-        n = len(elems)
-        table = np.zeros((n, n), dtype=np.int64)
-        for i, (a1, c1) in enumerate(elems):
-            for j, (a2, c2) in enumerate(elems):
-                table[i, j] = index[((a1 + c1 * a2) % p, (c1 * c2) % p)]
+        table = [
+            [index[((a1 + c1 * a2) % p, (c1 * c2) % p)] for a2, c2 in elems] for a1, c1 in elems
+        ]
         names = tuple(f"({a},{c})" for a, c in elems)
         return cls(table, names=names)
 
@@ -161,7 +185,7 @@ class GModule:
             mat = self.action[g]
             if len(mat) != r or any(len(row) != r for row in mat):
                 raise GroupValidationError("action matrix has wrong shape")
-            # well-defined on each Z/m_i and invertible on the module
+            # well-defined on each Z/m_i
             for jcol, m_src in enumerate(self.moduli):
                 for irow, m_dst in enumerate(self.moduli):
                     if (mat[irow][jcol] * m_src) % m_dst != 0:
@@ -174,9 +198,9 @@ class GModule:
                 for u in self._basis():
                     if self.act(gh, u) != self.act(g, self.act(h, u)):
                         raise GroupValidationError("action is not a homomorphism")
-        for g in self.group.elements():
-            if len({self.act(g, u) for u in self.elements()}) != self.size():
-                raise GroupValidationError(f"element {g} does not act bijectively")
+        # Each act(g) is then bijective: the maps are additive, so agreeing on
+        # the basis they agree everywhere, and act(g^-1) after act(g) is act(1),
+        # the identity.  No element of the module needs to be enumerated.
 
     def _eye(self):
         return tuple(tuple(1 if i == j else 0 for j in range(self.rank)) for i in range(self.rank))

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +49,10 @@ def test_h2_command(capsys):
     code, out, _ = run(capsys, "h2", "--group", "product:2,2", "--module", "z:2")
     assert code == 0
     assert "order 8" in out
+    # the module's size does not bound the work: its elements are never enumerated
+    code, out, _ = run(capsys, "h2", "--group", "cyclic:2", "--module", "z:1000000000")
+    assert code == 0
+    assert "invariant factors: [2]" in out
 
 
 def test_validate_and_exit_codes(capsys, tmp_path):
@@ -64,6 +70,25 @@ def test_validate_and_exit_codes(capsys, tmp_path):
     assert code == cli.EXIT_VALIDATION
     code, _, err = run(capsys, "validate", str(tmp_path / "missing.net"))
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("group G = table[[0,1],[0,1]]\n", "1:1"),
+        ("group G = cyclic(0)\n", "1:1"),
+        ("group G = aff1modp(4)\n", "1:1"),
+        ("group G = table[[0,1],[1]]\n", "1:1"),
+        ("group G = cyclic(2)\nmodule U over G = z(0)\n", "2:1"),
+    ],
+)
+def test_invalid_group_declarations(capsys, tmp_path, text, where):
+    path = tmp_path / "group.net"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == cli.EXIT_VALIDATION
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert f"group.net:{where}:" in err and out == ""
 
 
 def test_weight_command(capsys):
@@ -195,6 +220,8 @@ def test_render_command(capsys, tmp_path):
         (("h2", "--group", "aff1modp:4", "--module", "z:2"), cli.EXIT_VALIDATION),
         (("h2", "--group", "cyclic:2", "--module", "z:"), cli.EXIT_USAGE),
         (("catalog", "pmi", "--masses", "a=x"), cli.EXIT_USAGE),
+        (("catalog", "carry", "--n", "34"), cli.EXIT_USAGE),
+        (("catalog", "witt", "--p", "37"), cli.EXIT_USAGE),
     ],
 )
 def test_bad_input_exit_codes(capsys, argv, want):
@@ -209,3 +236,12 @@ def test_usage_errors(capsys):
     assert code == cli.EXIT_USAGE
     code, _, err = run(capsys, "weight", fx("affine_mult.net"), "--object", "nope")
     assert code == cli.EXIT_USAGE and "nope" in err
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, entronet.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "False"

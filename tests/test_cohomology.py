@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import product
 
 import pytest
@@ -24,7 +25,7 @@ from entronet.groupnet.cohomology import (
     verify_cocycle1,
     verify_cocycle2,
 )
-from entronet.groupnet.catalog import carry
+from entronet.groupnet.catalog import carry, witt
 from entronet.groupnet.groups import GModule, Group, GroupValidationError
 from entronet.sampling import random_gmodule, random_normalized_cocycle, seeded_rng
 
@@ -58,6 +59,10 @@ def test_group_validation():
                 [4, 3, 1, 2, 0],
             ]
         )
+    # empty, not square, ragged, not a table, not integers
+    for table in ([], [[0, 1]], [[0, 1], [1]], [0, 1], [[0, 1.5], [1, 0]], [[0, "1"], [1, 0]]):
+        with pytest.raises(GroupValidationError):
+            Group(table)
 
 
 def test_module_action_validation():
@@ -68,6 +73,11 @@ def test_module_action_validation():
     assert ok.act(1, (1,)) == (3,)
     with pytest.raises(GroupValidationError):
         GModule(G, (3,), {0: [[1]], 1: [[1]], 2: [[1]]})
+    # validation never enumerates the module's 10^9 elements
+    start = time.perf_counter()
+    GModule.trivial(G, (10**9,))
+    GModule(G, (10**9,), {0: [[1]], 1: [[10**9 - 1]]})
+    assert time.perf_counter() - start < 1.0
 
 
 # -- cochains ---------------------------------------------------------------------
@@ -433,3 +443,171 @@ def test_h1_trivial_module_is_hom():
             assert (math.prod(factors), _orders(factors)) == (len(homs), tuple(sorted(homs)))
             for rep in reps:
                 assert verify_cocycle1(rep)
+
+
+# -- Light's test, central extensions and verify_cocycle2 against references ------
+
+
+def _associative(t) -> bool:
+    n = len(t)
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in range(n) for y in range(n) for z in range(n))
+
+
+def _random_loop(rng, n):
+    """A seeded random Latin square with identity at 0, filled cell by cell."""
+    t = [[j if i == 0 else i if j == 0 else None for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(t[i][:j]) | {t[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            t[i][j] = v
+            if fill(k + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+def _relabel(t, perm):
+    """The table of the same structure with element i renamed perm[i]."""
+    out = [[None] * len(t) for _ in t]
+    for i, row in enumerate(t):
+        for j, x in enumerate(row):
+            out[perm[i]][perm[j]] = perm[x]
+    return out
+
+
+def _constructed_groups():
+    c2, c3, c4 = Group.cyclic(2), Group.cyclic(3), Group.cyclic(4)
+    return [Group.cyclic(n) for n in range(1, 13)] + [
+        Group.direct_product(c2, c2),
+        Group.direct_product(c2, c4),
+        Group.direct_product(c3, c3),
+        Group.direct_product(Group.aff1_mod_p(3), c2),
+        Group.aff1_mod_p(3),
+        Group.aff1_mod_p(5),
+        Group.aff1_mod_p(7),
+    ]
+
+
+def test_light_test_matches_brute_force():
+    rng = seeded_rng(309)
+    tables = [_random_loop(rng, n) for n in range(1, 8) for _ in range(40)]
+    for G in _constructed_groups():
+        perm = [0] + rng.sample(range(1, G.order), G.order - 1)
+        tables.append(_relabel(G.table, perm))
+    verdicts = []
+    for t in tables:
+        try:
+            Group(t)
+            accepted = True
+        except GroupValidationError as exc:
+            assert "associative" in str(exc)
+            accepted = False
+        assert accepted == _associative(t)
+        verdicts.append(accepted)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 50
+    for G in _constructed_groups() + [central_extension(carry(n)) for n in range(2, 9)]:
+        assert _associative(G.table)
+
+
+def _reference_extension(c):
+    """The extension table of c, cell by cell from U.add and U.act."""
+    U, G = c.module, c.module.group
+    elems = list(U.elements())
+    index = {u: i for i, u in enumerate(elems)}
+    n = G.order
+    table = [[None] * (n * len(elems)) for _ in range(n * len(elems))]
+    for iu, u1 in enumerate(elems):
+        for s1 in G.elements():
+            for ju, u2 in enumerate(elems):
+                for s2 in G.elements():
+                    u = U.add(U.add(u1, U.act(s1, u2)), U.reduce(c(s1, s2)))
+                    table[iu * n + s1][ju * n + s2] = index[u] * n + G.mul(s1, s2)
+    return tuple(tuple(row) for row in table)
+
+
+def _reference_verify2(c) -> bool:
+    U, G = c.module, c.module.group
+    return all(
+        U.act(s, c(t, g)) == U.sub(U.add(c(s, t), c(G.mul(s, t), g)), c(s, G.mul(t, g)))
+        for s, t, g in product(G.elements(), repeat=3)
+    )
+
+
+def _unreduced(rng, c):
+    """c with random multiples of the moduli added off the identity row and column."""
+    U = c.module
+    return Cocycle2(U, tuple(
+        tuple(
+            v if 0 in (s, t) else tuple(x + rng.randint(-3, 3) * m for x, m in zip(v, U.moduli))
+            for t, v in enumerate(row)
+        )
+        for s, row in enumerate(c.values)
+    ))
+
+
+def _test_modules(rng):
+    c2, c3, c4 = Group.cyclic(2), Group.cyclic(3), Group.cyclic(4)
+    v4 = Group.direct_product(c2, c2)
+    mods = [
+        GModule.scaling_action(c2, 3, {0: 1, 1: 2}),
+        GModule.scaling_action(c3, 7, {0: 1, 1: 2, 2: 4}),
+        GModule.scaling_action(c4, 5, {0: 1, 1: 2, 2: 4, 3: 3}),
+        GModule.trivial(c2, (2, 3)),
+        GModule.trivial(c3, (2, 3)),
+        GModule(c2, (2, 4), {0: [[1, 0], [0, 1]], 1: [[1, 0], [2, 1]]}),
+        GModule(c3, (2, 2), {0: [[1, 0], [0, 1]], 1: [[0, 1], [1, 1]], 2: [[1, 1], [1, 0]]}),
+    ]
+    return mods + [_random_module(rng, G, gens) for G, gens in ((c2, [1]), (c3, [1]), (v4, [1, 2]))]
+
+
+def _test_cocycles(rng, U):
+    """Solver representatives and seeded coboundary shifts of them and of zero."""
+    reps = h_solver(U.group, U, 2)[1]
+    zero = Cocycle2(U, tuple((U.zero(),) * U.group.order for _ in U.group.elements()))
+    out = []
+    for base in reps + [zero]:
+        b = [U.zero()] + [tuple(rng.randrange(m) for m in U.moduli) for _ in range(U.group.order - 1)]
+        out += [base, shift_by_coboundary(base, b)]
+    return out
+
+
+def test_central_extension_matches_reference():
+    rng = seeded_rng(310)
+    cases = [carry(n) for n in range(2, 7)] + [witt(p) for p in (2, 3, 5)]
+    cases.append(_unreduced(rng, carry(4)))
+    for U in _test_modules(rng):
+        cases += _test_cocycles(rng, U)
+    for c in cases:
+        assert central_extension(c).table == _reference_extension(c)
+
+
+def test_verify_cocycle2_matches_reference():
+    rng = seeded_rng(311)
+    verdicts = []
+    for U in _test_modules(rng):
+        n = U.group.order
+        for c in _test_cocycles(rng, U):
+            for cand in (c, _unreduced(rng, c)):
+                verdicts.append(verify_cocycle2(cand))
+                assert verdicts[-1] == _reference_verify2(cand)
+            # one entry moved by a nonzero element
+            s, t = rng.randrange(n), rng.randrange(n)
+            delta = tuple(rng.randrange(m) for m in U.moduli)
+            if not any(delta):
+                delta = (1,) + delta[1:]
+            rows = [list(row) for row in c.values]
+            rows[s][t] = tuple(x + d for x, d in zip(rows[s][t], delta))
+            bad = Cocycle2(U, tuple(tuple(row) for row in rows))
+            verdicts.append(verify_cocycle2(bad))
+            assert verdicts[-1] == _reference_verify2(bad)
+    assert verdicts.count(True) > 50 and verdicts.count(False) > 20
