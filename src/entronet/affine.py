@@ -564,28 +564,32 @@ def layer_contribution(mode: str, obj: Obj, gen: Generator, pos: int):
     return None
 
 
-def j_invariant(d: Diagram):
-    """Evaluation of the diagram: prime vector, entropy scalar, or float."""
+def _dot_term(mode: str, obj: Obj, gen: Generator, pos: int):
+    if isinstance(gen, Dot):
+        return _scale_value(mode, winding_product(obj, pos), _dot_value(mode, gen.payload))
+    return None
+
+
+def _fold(d: Diagram, term):
+    """Sum of term(mode, obj, gen, pos) over the layers, each at the object below it."""
     total = _zero_value(d.mode)
     obj = tuple(d.source)
     for i, (gen, pos) in enumerate(d.layers):
-        piece = layer_contribution(d.mode, obj, gen, pos)
+        piece = term(d.mode, obj, gen, pos)
         if piece is not None:
             total = total + piece
         obj = apply_layer(obj, gen, pos, i)
     return total
 
 
+def j_invariant(d: Diagram):
+    """Evaluation of the diagram: prime vector, entropy scalar, or float."""
+    return _fold(d, layer_contribution)
+
+
 def dot_contribution(d: Diagram):
     """Winding-scaled sum of dot labels alone (the non-boundary part)."""
-    total = _zero_value(d.mode)
-    obj = tuple(d.source)
-    for i, (gen, pos) in enumerate(d.layers):
-        if isinstance(gen, Dot):
-            w = winding_product(obj, pos)
-            total = total + _scale_value(d.mode, w, _dot_value(d.mode, gen.payload))
-        obj = apply_layer(obj, gen, pos, i)
-    return total
+    return _fold(d, _dot_term)
 
 
 def values_equal(mode: str, x, y, tol: float = FLOAT_TOL) -> bool:

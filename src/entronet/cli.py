@@ -23,6 +23,7 @@ from .groupnet.cohomology import (
 )
 from .groupnet.catalog import binomial_cocycle, carry, pmi_cocycle, witt, ProbSpace
 from .groupnet.diagrams import (
+    GDiagramError,
     eval_alpha_c,
     eval_alpha_cf,
     eval_alpha_f,
@@ -237,9 +238,7 @@ def cmd_eval(args) -> int:
             c = _need(resolved.cocycles2, args.cocycle, "cocycle2")
             f = _need(resolved.cocycles1, args.cocycle1, "cocycle1")
             value = eval_alpha_cf(d, c, f)
-    except Exception as exc:
-        if isinstance(exc, CliError):
-            raise
+    except (GDiagramError, GroupValidationError) as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
     _emit(args, [str(value)], {"value": list(value)})
     return EXIT_OK

@@ -119,17 +119,8 @@ class PointSpec:
 class ObjectDecl:
     name: str
     points: tuple[PointSpec, ...]
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ObjectDecl)
-            and (self.name, self.points) == (other.name, other.points)
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.points))
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 Payload = Union[PrimeVector, EntropyScalar, float]
@@ -141,18 +132,8 @@ class LayerSpec:
     args: tuple
     pos: int
     payload: Optional[Payload] = None
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LayerSpec)
-            and (self.name, self.args, self.pos, self.payload)
-            == (other.name, other.args, other.pos, other.payload)
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.args, self.pos))
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -162,20 +143,8 @@ class DiagramDecl:
     target: str
     layers: tuple[LayerSpec, ...]
     mode: str
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return isinstance(other, DiagramDecl) and (
-            self.name,
-            self.source,
-            self.target,
-            self.layers,
-            self.mode,
-        ) == (other.name, other.source, other.target, other.layers, other.mode)
-
-    def __hash__(self):
-        return hash((self.name, self.source, self.target, self.mode))
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -183,18 +152,8 @@ class GroupDecl:
     name: str
     ctor: str  # cyclic | aff1modp | product | table
     args: tuple
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return isinstance(other, GroupDecl) and (self.name, self.ctor, self.args) == (
-            other.name,
-            other.ctor,
-            other.args,
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.ctor, self.args))
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -203,19 +162,8 @@ class ModuleDecl:
     group: str
     moduli: tuple[int, ...]
     action: Optional[tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]]
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleDecl) and (
-            self.name,
-            self.group,
-            self.moduli,
-            self.action,
-        ) == (other.name, other.group, other.moduli, other.action)
-
-    def __hash__(self):
-        return hash((self.name, self.group, self.moduli))
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -225,20 +173,8 @@ class CocycleDecl:
     group: str
     module: str
     entries: tuple  # degree 1: ((g, u), ...); degree 2: (((g, h), u), ...)
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return isinstance(other, CocycleDecl) and (
-            self.degree,
-            self.name,
-            self.group,
-            self.module,
-            self.entries,
-        ) == (other.degree, other.name, other.group, other.module, other.entries)
-
-    def __hash__(self):
-        return hash((self.degree, self.name, self.group, self.module))
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -254,20 +190,8 @@ class GDiagramDecl:
     source: tuple[GPointSpec, ...]
     target: tuple[GPointSpec, ...]
     layers: tuple[LayerSpec, ...]
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return isinstance(other, GDiagramDecl) and (
-            self.name,
-            self.group,
-            self.source,
-            self.target,
-            self.layers,
-        ) == (other.name, other.group, other.source, other.target, other.layers)
-
-    def __hash__(self):
-        return hash((self.name, self.group, self.source, self.target))
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 Decl = Union[ObjectDecl, DiagramDecl, GroupDecl, ModuleDecl, CocycleDecl, GDiagramDecl]
@@ -796,6 +720,11 @@ def _resolve_glayer(G: Group, obj, spec: LayerSpec):
             fail(f"position {spec.pos} out of range")
         return obj[i]
 
+    def elt(k: int) -> int:
+        if not 0 <= args[k] < G.order:
+            fail(f"element {args[k]} out of range")
+        return args[k]
+
     name, args, pos = spec.name, spec.args, spec.pos
     try:
         if name == "merge_l":
@@ -803,15 +732,15 @@ def _resolve_glayer(G: Group, obj, spec: LayerSpec):
         if name == "merge_r":
             return VMergeR(pt(pos).g, pt(pos + 1).g), pos
         if name == "split_l":
-            return VSplitL(args[0], args[1]), pos
+            return VSplitL(elt(0), elt(1)), pos
         if name == "split_r":
-            return VSplitR(args[0], args[1]), pos
+            return VSplitR(elt(0), elt(1)), pos
         if name == "flip":
             return GFlip(pt(pos).g, pt(pos).left), pos
         if name == "cup_lr":
-            return GCupLR(args[0]), pos
+            return GCupLR(elt(0)), pos
         if name == "cup_rl":
-            return GCupRL(args[0]), pos
+            return GCupRL(elt(0)), pos
         if name == "cap":
             p, q = pt(pos), pt(pos + 1)
             if p.left and not q.left:
@@ -824,9 +753,9 @@ def _resolve_glayer(G: Group, obj, spec: LayerSpec):
         if name == "t2_merge_rr":
             return T2MergeRR(pt(pos).g, pt(pos + 1).g), pos
         if name == "t2_split_ll":
-            return T2SplitLL(args[0], args[1]), pos
+            return T2SplitLL(elt(0), elt(1)), pos
         if name == "t2_split_rr":
-            return T2SplitRR(args[0], args[1]), pos
+            return T2SplitRR(elt(0), elt(1)), pos
         if name == "dot":
             return GDot(tuple(args)), pos
     except IndexError:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .cohomology import Cocycle1, Cocycle2
+from .cohomology import Cocycle1, Cocycle2, is_normalized
 from .groups import GModule, Group, UElt
 
 
@@ -283,6 +283,13 @@ GGenerator = Union[
 
 GLayer = tuple[GGenerator, int]
 
+_MACROS = (T2SplitLL, T2MergeRR, T2SplitRR, T2MergeLL)
+
+
+def _expand(G: Group, gen: GGenerator, pos: int) -> tuple[GLayer, ...]:
+    """A macro's layers, or the layer itself."""
+    return gen.expand(G, pos) if isinstance(gen, _MACROS) else ((gen, pos),)
+
 
 @dataclass(frozen=True)
 class GDiagram:
@@ -291,13 +298,8 @@ class GDiagram:
     layers: tuple[GLayer, ...]
 
     def expanded(self) -> "GDiagram":
-        out: list[GLayer] = []
-        for gen, pos in self.layers:
-            if hasattr(gen, "expand"):
-                out.extend(gen.expand(self.group, pos))
-            else:
-                out.append((gen, pos))
-        return GDiagram(self.group, self.source, tuple(out))
+        layers = tuple(part for gen, pos in self.layers for part in _expand(self.group, gen, pos))
+        return GDiagram(self.group, self.source, layers)
 
 
 def apply_glayer(G: Group, obj: GObj, gen: GGenerator, pos: int, layer: int | None = None) -> GObj:
@@ -352,36 +354,17 @@ def has_dots(d: GDiagram) -> bool:
 # -- evaluations ------------------------------------------------------------
 
 
-def _twist(U: GModule, G: Group, w: int, u: UElt) -> UElt:
-    return U.act(w, u)
-
-
-def eval_alpha_u(d: GDiagram, module: GModule) -> UElt:
-    """Sum over dots of the label twisted by the dot's winding."""
-    G = d.group
-    if module.group is not G:
-        raise GDiagramError("module is over a different group")
-    total = module.zero()
-    obj = tuple(d.source)
-    for i, (gen, pos) in enumerate(d.layers):
-        if isinstance(gen, GDot):
-            w = winding_of(G, obj, pos)
-            total = module.add(total, _twist(module, G, w, module.reduce(gen.u)))
-        obj = apply_glayer(G, obj, gen, pos, i)
-    return total
-
-
 def _alpha_f_layer(G: Group, f: Cocycle1, obj: GObj, gen: GGenerator, pos: int) -> UElt | None:
     """Twist contribution of one expanded layer under a one-cocycle."""
     U = f.module
     if isinstance(gen, GCapLR):
         # apex co-oriented up; reference gap above the cap, legs removed
         w = winding_of(G, obj, pos)
-        return _twist(U, G, w, f(gen.g))
+        return U.act(w, f(gen.g))
     if isinstance(gen, GCupRL):
         # apex co-oriented up; reference gap between the created legs
         w = G.mul(winding_of(G, obj, pos), G.inv(gen.g))
-        return U.neg(_twist(U, G, w, f(gen.g)))
+        return U.neg(U.act(w, f(gen.g)))
     if isinstance(gen, GFlip):
         new = G.inv(gen.g)
         if gen.from_left:
@@ -389,28 +372,8 @@ def _alpha_f_layer(G: Group, f: Cocycle1, obj: GObj, gen: GGenerator, pos: int) 
             w = G.mul(winding_of(G, obj, pos), gen.g)
         else:
             w = winding_of(G, obj, pos)
-        return U.neg(_twist(U, G, w, f(new)))
+        return U.neg(U.act(w, f(new)))
     return None
-
-
-def eval_alpha_f(d: GDiagram, f: Cocycle1) -> UElt:
-    """Dot evaluation shifted by a one-cocycle on extrema and flip points."""
-    G = d.group
-    U = f.module
-    if U.group is not G:
-        raise GDiagramError("cocycle is over a different group")
-    total = U.zero()
-    obj = tuple(d.source)
-    for i, (gen, pos) in enumerate(d.expanded().layers):
-        if isinstance(gen, GDot):
-            w = winding_of(G, obj, pos)
-            total = U.add(total, _twist(U, G, w, U.reduce(gen.u)))
-        else:
-            piece = _alpha_f_layer(G, f, obj, gen, pos)
-            if piece is not None:
-                total = U.add(total, piece)
-        obj = apply_glayer(G, obj, gen, pos, i)
-    return total
 
 
 def _alpha_c_layer(G: Group, c: Cocycle2, obj: GObj, gen: GGenerator, pos: int) -> UElt | None:
@@ -418,77 +381,84 @@ def _alpha_c_layer(G: Group, c: Cocycle2, obj: GObj, gen: GGenerator, pos: int) 
     U = c.module
     if isinstance(gen, VMergeL):
         w = winding_of(G, obj, pos)
-        return _twist(U, G, w, c(gen.s, gen.t))
+        return U.act(w, c(gen.s, gen.t))
     if isinstance(gen, VSplitL):
         w = winding_of(G, obj, pos)
-        return U.neg(_twist(U, G, w, c(gen.s, gen.t)))
+        return U.neg(U.act(w, c(gen.s, gen.t)))
     if isinstance(gen, VMergeR):
         w = winding_of(G, obj, pos)
-        return _twist(U, G, w, c(G.inv(gen.s), G.inv(gen.t)))
+        return U.act(w, c(G.inv(gen.s), G.inv(gen.t)))
     if isinstance(gen, VSplitR):
         w = winding_of(G, obj, pos)
-        return U.neg(_twist(U, G, w, c(G.inv(gen.s), G.inv(gen.t))))
+        return U.neg(U.act(w, c(G.inv(gen.s), G.inv(gen.t))))
     if isinstance(gen, GCapLR):
         w = winding_of(G, obj, pos)
-        return _twist(U, G, w, c(gen.g, G.inv(gen.g)))
+        return U.act(w, c(gen.g, G.inv(gen.g)))
     if isinstance(gen, GCapRL):
         w = G.mul(winding_of(G, obj, pos), G.inv(gen.g))
-        return _twist(U, G, w, c(gen.g, G.inv(gen.g)))
+        return U.act(w, c(gen.g, G.inv(gen.g)))
     if isinstance(gen, GCupLR):
         w = winding_of(G, obj, pos)
-        return U.neg(_twist(U, G, w, c(gen.g, G.inv(gen.g))))
+        return U.neg(U.act(w, c(gen.g, G.inv(gen.g))))
     if isinstance(gen, GCupRL):
         w = G.mul(winding_of(G, obj, pos), G.inv(gen.g))
-        return U.neg(_twist(U, G, w, c(gen.g, G.inv(gen.g))))
+        return U.neg(U.act(w, c(gen.g, G.inv(gen.g))))
     return None
+
+
+def _evaluate(d: GDiagram, U: GModule, terms) -> UElt:
+    """Sum over dots of the label twisted by its winding, plus term(G, z, obj,
+    gen, pos) for each (term, z) in terms on every layer of the expansion.
+
+    Macros expand in place, so an error names the layer of d, not of the
+    expansion.
+    """
+    G = d.group
+    total = U.zero()
+    obj = tuple(d.source)
+    for i, (macro, at) in enumerate(d.layers):
+        for gen, pos in _expand(G, macro, at):
+            nxt = apply_glayer(G, obj, gen, pos, i)
+            if isinstance(gen, GDot):
+                total = U.add(total, U.act(winding_of(G, obj, pos), U.reduce(gen.u)))
+            for term, z in terms:
+                piece = term(G, z, obj, gen, pos)
+                if piece is not None:
+                    total = U.add(total, piece)
+            obj = nxt
+    return total
+
+
+def _check_cocycles(d: GDiagram, *cocycles) -> None:
+    for z in cocycles:
+        if z.module.group is not d.group:
+            raise GDiagramError("cocycle is over a different group")
+        if isinstance(z, Cocycle2) and not is_normalized(z):
+            raise GDiagramError("two-cocycle must be normalized")
+
+
+def eval_alpha_u(d: GDiagram, module: GModule) -> UElt:
+    """Sum over dots of the label twisted by the dot's winding."""
+    if module.group is not d.group:
+        raise GDiagramError("module is over a different group")
+    return _evaluate(d, module, ())
+
+
+def eval_alpha_f(d: GDiagram, f: Cocycle1) -> UElt:
+    """Dot evaluation shifted by a one-cocycle on extrema and flip points."""
+    _check_cocycles(d, f)
+    return _evaluate(d, f.module, ((_alpha_f_layer, f),))
 
 
 def eval_alpha_c(d: GDiagram, c: Cocycle2) -> UElt:
     """Dot evaluation shifted by a normalized two-cocycle on vertices and extrema."""
-    from .cohomology import is_normalized
-
-    G = d.group
-    U = c.module
-    if U.group is not G:
-        raise GDiagramError("cocycle is over a different group")
-    if not is_normalized(c):
-        raise GDiagramError("two-cocycle must be normalized")
-    total = U.zero()
-    obj = tuple(d.source)
-    for i, (gen, pos) in enumerate(d.expanded().layers):
-        if isinstance(gen, GDot):
-            w = winding_of(G, obj, pos)
-            total = U.add(total, _twist(U, G, w, U.reduce(gen.u)))
-        else:
-            piece = _alpha_c_layer(G, c, obj, gen, pos)
-            if piece is not None:
-                total = U.add(total, piece)
-        obj = apply_glayer(G, obj, gen, pos, i)
-    return total
+    _check_cocycles(d, c)
+    return _evaluate(d, c.module, ((_alpha_c_layer, c),))
 
 
 def eval_alpha_cf(d: GDiagram, c: Cocycle2, f: Cocycle1) -> UElt:
     """Combined twist: the two evaluations added, dots counted once."""
-    from .cohomology import is_normalized
-
-    G = d.group
-    U = c.module
-    if f.module is not U and f.module.moduli != U.moduli:
+    _check_cocycles(d, c, f)
+    if f.module is not c.module and f.module.moduli != c.module.moduli:
         raise GDiagramError("the two cocycles must share a module")
-    if not is_normalized(c):
-        raise GDiagramError("two-cocycle must be normalized")
-    total = U.zero()
-    obj = tuple(d.source)
-    for i, (gen, pos) in enumerate(d.expanded().layers):
-        if isinstance(gen, GDot):
-            w = winding_of(G, obj, pos)
-            total = U.add(total, _twist(U, G, w, U.reduce(gen.u)))
-        else:
-            piece = _alpha_c_layer(G, c, obj, gen, pos)
-            if piece is not None:
-                total = U.add(total, piece)
-            piece = _alpha_f_layer(G, f, obj, gen, pos)
-            if piece is not None:
-                total = U.add(total, piece)
-        obj = apply_glayer(G, obj, gen, pos, i)
-    return total
+    return _evaluate(d, c.module, ((_alpha_c_layer, c), (_alpha_f_layer, f)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
 from . import affine as af
-from .groupnet.diagrams import GDiagram, GDot, GPt, gstates
+from .groupnet.diagrams import GDiagram, gstates
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,15 @@ class _Canvas:
     def __init__(self):
         self.elements: list[str] = []
 
-    def line(self, x1, y1, x2, y2, color, width=1.2, dash=None):
-        d = f' stroke-dasharray="{dash}"' if dash else ""
+    def line(self, x1, y1, x2, y2, stroke):
+        color, width = stroke
         self.elements.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{width}"{d} />'
+            f'stroke="{color}" stroke-width="{width}" />'
         )
 
-    def path(self, points, color, width=1.2):
+    def path(self, points, stroke):
+        color, width = stroke
         coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
         self.elements.append(
             f'<path d="M {coords}" fill="none" stroke="{color}" stroke-width="{width}" />'
@@ -68,12 +69,6 @@ class _Canvas:
         )
 
 
-def _strand_style(kind) -> tuple[str, float]:
-    if kind in (af.Kind.XP, af.Kind.XM):
-        return "X", 1.2
-    return "Y", 2.2
-
-
 def _point_label(pt: af.Pt) -> str:
     return f"{pt.kind.value}{pt.weight}"
 
@@ -82,115 +77,80 @@ def to_svg(d, opts: RenderOptions | None = None) -> str:
     """Render an affine diagram or a group network to SVG text."""
     opts = opts or RenderOptions()
     if isinstance(d, GDiagram):
-        return _gdiagram_svg(d, opts)
-    return _diagram_svg(d, opts)
+        G, g_stroke = d.group, (opts.colors["G"], 1.4)
+        return _svg(
+            opts,
+            gstates(d),
+            d.layers,
+            arity=lambda gen: (len(gen.dom(G)), len(gen.cod(G))),
+            stroke=lambda pt: g_stroke,
+            label=repr,
+            label_dx=8,
+            dot_label=lambda gen: str(gen.u),
+        )
+    x_stroke, y_stroke = (opts.colors["X"], 1.2), (opts.colors["Y"], 2.2)
+    return _svg(
+        opts,
+        af.states(d),
+        d.layers,
+        arity=lambda gen: (len(gen.dom()), len(gen.cod())),
+        stroke=lambda pt: x_stroke if pt.kind in (af.Kind.XP, af.Kind.XM) else y_stroke,
+        label=_point_label,
+        label_dx=10,
+    )
 
 
 def _band_positions(n: int, opts: RenderOptions) -> list[float]:
     return [opts.margin + opts.strand_gap * (i + 0.5) for i in range(n)]
 
 
-def _diagram_svg(d: af.Diagram, opts: RenderOptions) -> str:
-    sts = af.states(d)
+def _svg(
+    opts: RenderOptions, sts, layers, *, arity, stroke, label, label_dx, dot_label=None
+) -> str:
+    """One band per layer over the states sts; a layer of arity (0, 0) is a dot.
+
+    arity(gen) gives (len(dom), len(cod)); stroke(pt) gives the color and width
+    of a strand; label(pt) names a boundary point, drawn label_dx left of its
+    strand; dot_label(gen), when given, writes next to each dot.
+    """
     canvas = _Canvas()
-    height = opts.margin * 2 + opts.layer_height * max(1, len(d.layers))
+    height = opts.margin * 2 + opts.layer_height * max(1, len(layers))
     width = opts.margin * 2 + opts.strand_gap * max(1, max(len(s) for s in sts))
     y = height - opts.margin
 
-    for li, (gen, pos) in enumerate(d.layers):
+    for li, (gen, pos) in enumerate(layers):
         lower, upper = sts[li], sts[li + 1]
         y0, y1 = y - opts.layer_height * li, y - opts.layer_height * (li + 1)
         xs0, xs1 = _band_positions(len(lower), opts), _band_positions(len(upper), opts)
-        ndom, ncod = len(gen.dom()), len(gen.cod())
-        mx = None
-        if ndom or ncod:
-            span = [xs0[pos + k] for k in range(ndom)] + [xs1[pos + k] for k in range(ncod)]
-            mx = sum(span) / len(span)
+        ndom, ncod = arity(gen)
         ymid = (y0 + y1) / 2
         for i in range(pos):
-            color, w = _strand_style(lower[i].kind)
-            canvas.line(xs0[i], y0, xs1[i], y1, opts.colors[color], w)
+            canvas.line(xs0[i], y0, xs1[i], y1, stroke(lower[i]))
         for i in range(pos + ndom, len(lower)):
-            color, w = _strand_style(lower[i].kind)
-            canvas.line(xs0[i], y0, xs1[i - ndom + ncod], y1, opts.colors[color], w)
-        if isinstance(gen, af.Dot):
-            canvas.circle(opts.margin + opts.strand_gap * pos, ymid, 3.0, opts.colors["dot"])
-        else:
-            for k in range(ndom):
-                color, w = _strand_style(lower[pos + k].kind)
-                canvas.path([(xs0[pos + k], y0), (mx, ymid)], opts.colors[color], w)
-            for k in range(ncod):
-                color, w = _strand_style(upper[pos + k].kind)
-                canvas.path([(mx, ymid), (xs1[pos + k], y1)], opts.colors[color], w)
-    if not d.layers:
-        y0, y1 = y, y - opts.layer_height
+            canvas.line(xs0[i], y0, xs1[i - ndom + ncod], y1, stroke(lower[i]))
+        if not (ndom or ncod):
+            x = opts.margin + opts.strand_gap * pos
+            canvas.circle(x, ymid, 3.0, opts.colors["dot"])
+            if dot_label is not None:
+                canvas.text(x + 5, ymid - 4, dot_label(gen), opts.font_size)
+            continue
+        span = [xs0[pos + k] for k in range(ndom)] + [xs1[pos + k] for k in range(ncod)]
+        mx = sum(span) / len(span)
+        for k in range(ndom):
+            canvas.path([(xs0[pos + k], y0), (mx, ymid)], stroke(lower[pos + k]))
+        for k in range(ncod):
+            canvas.path([(mx, ymid), (xs1[pos + k], y1)], stroke(upper[pos + k]))
+    if not layers:
         xs = _band_positions(len(sts[0]), opts)
         for i, pt in enumerate(sts[0]):
-            color, w = _strand_style(pt.kind)
-            canvas.line(xs[i], y0, xs[i], y1, opts.colors[color], w)
+            canvas.line(xs[i], y, xs[i], y - opts.layer_height, stroke(pt))
 
     xs_bot = _band_positions(len(sts[0]), opts)
     for i, pt in enumerate(sts[0]):
-        canvas.text(xs_bot[i] - 10, height - 6, _point_label(pt), opts.font_size)
+        canvas.text(xs_bot[i] - label_dx, height - 6, label(pt), opts.font_size)
     xs_top = _band_positions(len(sts[-1]), opts)
     for i, pt in enumerate(sts[-1]):
-        canvas.text(xs_top[i] - 10, opts.margin - 8, _point_label(pt), opts.font_size)
-
-    body = "\n".join(canvas.elements)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
-        f"{body}\n</svg>\n"
-    )
-
-
-def _glabel(pt: GPt) -> str:
-    return f"{pt.g}{'L' if pt.left else 'R'}"
-
-
-def _gdiagram_svg(d: GDiagram, opts: RenderOptions) -> str:
-    sts = gstates(d)
-    canvas = _Canvas()
-    height = opts.margin * 2 + opts.layer_height * max(1, len(d.layers))
-    width = opts.margin * 2 + opts.strand_gap * max(1, max(len(s) for s in sts))
-    y = height - opts.margin
-    color = opts.colors["G"]
-
-    for li, (gen, pos) in enumerate(d.layers):
-        lower, upper = sts[li], sts[li + 1]
-        y0, y1 = y - opts.layer_height * li, y - opts.layer_height * (li + 1)
-        xs0, xs1 = _band_positions(len(lower), opts), _band_positions(len(upper), opts)
-        ndom, ncod = len(gen.dom(d.group)), len(gen.cod(d.group))
-        mx = None
-        if ndom or ncod:
-            span = [xs0[pos + k] for k in range(ndom)] + [xs1[pos + k] for k in range(ncod)]
-            mx = sum(span) / len(span)
-        ymid = (y0 + y1) / 2
-        for i in range(pos):
-            canvas.line(xs0[i], y0, xs1[i], y1, color, 1.4)
-        for i in range(pos + ndom, len(lower)):
-            canvas.line(xs0[i], y0, xs1[i - ndom + ncod], y1, color, 1.4)
-        if isinstance(gen, GDot):
-            canvas.circle(opts.margin + opts.strand_gap * pos, ymid, 3.0, opts.colors["dot"])
-            canvas.text(
-                opts.margin + opts.strand_gap * pos + 5, ymid - 4, str(gen.u), opts.font_size
-            )
-        else:
-            for k in range(ndom):
-                canvas.path([(xs0[pos + k], y0), (mx, ymid)], color, 1.4)
-            for k in range(ncod):
-                canvas.path([(mx, ymid), (xs1[pos + k], y1)], color, 1.4)
-    if not d.layers:
-        xs = _band_positions(len(sts[0]), opts)
-        for i in range(len(sts[0])):
-            canvas.line(xs[i], y, xs[i], y - opts.layer_height, color, 1.4)
-
-    xs_bot = _band_positions(len(sts[0]), opts)
-    for i, pt in enumerate(sts[0]):
-        canvas.text(xs_bot[i] - 8, height - 6, _glabel(pt), opts.font_size)
-    xs_top = _band_positions(len(sts[-1]), opts)
-    for i, pt in enumerate(sts[-1]):
-        canvas.text(xs_top[i] - 8, opts.margin - 8, _glabel(pt), opts.font_size)
+        canvas.text(xs_top[i] - label_dx, opts.margin - 8, label(pt), opts.font_size)
 
     body = "\n".join(canvas.elements)
     return (

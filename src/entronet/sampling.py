@@ -103,51 +103,54 @@ def random_object(rng: random.Random, max_points: int = 5, max_num: int = 9) -> 
     return tuple(pts)
 
 
-def _applicable_generators(rng: random.Random, obj: af.Obj, max_num: int) -> list[af.Layer]:
-    """All single-layer moves applicable to obj (one random parameter choice each)."""
-    out: list[af.Layer] = []
+def _applicable_generators(
+    rng: random.Random, obj: af.Obj, max_num: int
+) -> list[tuple[af.Generator, int, int]]:
+    """All single-layer moves applicable to obj (one random parameter choice each),
+    each with its strand growth len(cod) - len(dom)."""
+    out: list[tuple[af.Generator, int, int]] = []
     r = lambda: random_rational(rng, max_num)
     rnz = lambda: random_rational(rng, max_num, nonzero=True)
     for i, pt in enumerate(obj):
         if pt.kind is af.Kind.XP:
             a = r()
-            out.append((af.AddSplit(a, pt.weight - a), i))
+            out.append((af.AddSplit(a, pt.weight - a), i, 1))
         if pt.kind is af.Kind.XM:
             a = r()
-            out.append((af.AddSplitDual(a, pt.weight - a), i))
+            out.append((af.AddSplitDual(a, pt.weight - a), i, 1))
         if pt.kind is af.Kind.YP:
             c = rnz()
-            out.append((af.MultSplit(c, pt.weight / c), i))
-            out.append((af.CoorientRev(pt.weight, True), i))
+            out.append((af.MultSplit(c, pt.weight / c), i, 1))
+            out.append((af.CoorientRev(pt.weight, True), i, 0))
         if pt.kind is af.Kind.YM:
             c = rnz()
-            out.append((af.MultSplitDual(c, pt.weight / c), i))
-            out.append((af.CoorientRev(pt.weight, False), i))
+            out.append((af.MultSplitDual(c, pt.weight / c), i, 1))
+            out.append((af.CoorientRev(pt.weight, False), i, 0))
     for i in range(len(obj) - 1):
         p, q = obj[i], obj[i + 1]
         if p.kind is af.Kind.XP and q.kind is af.Kind.XP:
-            out.append((af.AddMerge(p.weight, q.weight), i))
+            out.append((af.AddMerge(p.weight, q.weight), i, -1))
         if p.kind is af.Kind.XM and q.kind is af.Kind.XM:
-            out.append((af.AddMergeDual(q.weight, p.weight), i))
+            out.append((af.AddMergeDual(q.weight, p.weight), i, -1))
         if p.kind.additive and q.kind.additive:
-            out.append((af.AddCross(p, q), i))
+            out.append((af.AddCross(p, q), i, 0))
         if p.kind.multiplicative and q.kind.additive:
-            out.append((af.XYCross(p, q), i))
+            out.append((af.XYCross(p, q), i, 0))
         if p.kind is af.Kind.YP and q.kind is af.Kind.YP:
-            out.append((af.MultMerge(p.weight, q.weight), i))
+            out.append((af.MultMerge(p.weight, q.weight), i, -1))
         if p.kind is af.Kind.YM and q.kind is af.Kind.YM:
-            out.append((af.MultMergeDual(p.weight, q.weight), i))
+            out.append((af.MultMergeDual(p.weight, q.weight), i, -1))
         if (p.kind, q.kind) == (af.Kind.XP, af.Kind.XM) and p.weight == q.weight:
-            out.append((af.CapX(p.weight, True), i))
+            out.append((af.CapX(p.weight, True), i, -2))
         if (p.kind, q.kind) == (af.Kind.XM, af.Kind.XP) and p.weight == q.weight:
-            out.append((af.CapX(p.weight, False), i))
+            out.append((af.CapX(p.weight, False), i, -2))
         if (p.kind, q.kind) == (af.Kind.YP, af.Kind.YM) and p.weight == q.weight:
-            out.append((af.CapY(p.weight, True), i))
+            out.append((af.CapY(p.weight, True), i, -2))
         if (p.kind, q.kind) == (af.Kind.YM, af.Kind.YP) and p.weight == q.weight:
-            out.append((af.CapY(p.weight, False), i))
+            out.append((af.CapY(p.weight, False), i, -2))
     gap = rng.randint(0, len(obj))
-    out.append((af.CupX(r(), rng.random() < 0.5), gap))
-    out.append((af.CupY(rnz(), rng.random() < 0.5), gap))
+    out.append((af.CupX(r(), rng.random() < 0.5), gap, 2))
+    out.append((af.CupY(rnz(), rng.random() < 0.5), gap, 2))
     return out
 
 
@@ -189,8 +192,8 @@ def random_diagram(
             continue
         options = [
             (gen, pos)
-            for gen, pos in _applicable_generators(rng, cur, max_num)
-            if len(cur) - len(gen.dom()) + len(gen.cod()) <= max_strands
+            for gen, pos, growth in _applicable_generators(rng, cur, max_num)
+            if len(cur) + growth <= max_strands
         ]
         if not options:
             break

@@ -193,7 +193,7 @@ def _extend(rng, obj):
         options = _applicable_generators(rng, cur, 9)
         if not options:
             break
-        gen, pos = rng.choice(options)
+        gen, pos, _ = rng.choice(options)
         layers.append((gen, pos))
         cur = af.apply_layer(cur, gen, pos)
     return af.Diagram(obj, tuple(layers))

@@ -80,6 +80,11 @@ def test_validate_and_exit_codes(capsys, tmp_path):
         ("group G = aff1modp(4)\n", "1:1"),
         ("group G = table[[0,1],[1]]\n", "1:1"),
         ("group G = cyclic(2)\nmodule U over G = z(0)\n", "2:1"),
+        ("group G = cyclic(3)\ngdiagram N over G : [1 L] -> [] { split_l(99, 1) @0; }\n", "2:35"),
+        ("group G = cyclic(3)\ngdiagram N over G : [] -> [] { cup_lr(99) @0; cap @0; }\n", "2:32"),
+        ("group G = cyclic(3)\ngdiagram N over G : [1 L] -> [2 L, 2 L] { split_l(-1, 2) @0; }\n", "2:43"),
+        ("group G = cyclic(3)\ngdiagram N over G : [] -> [] { cup_rl(3) @0; cap @0; }\n", "2:32"),
+        ("group G = cyclic(3)\ngdiagram N over G : [0 R] -> [] { t2_split_rr(1, 5) @0; }\n", "2:35"),
     ],
 )
 def test_invalid_group_declarations(capsys, tmp_path, text, where):
@@ -179,6 +184,16 @@ def test_eval_command(capsys):
         "zero",
     )
     assert code == 0 and out.strip() == "(0,)"
+
+
+def test_eval_reports_only_validation_errors_as_such(capsys, monkeypatch):
+    def fault(d, c):
+        raise ZeroDivisionError("a program fault")
+
+    monkeypatch.setattr(cli, "eval_alpha_c", fault)
+    argv = ["eval", fx("networks.net"), "--gdiagram", "merge3", "--with", "alphaC", "--cocycle", "cy"]
+    with pytest.raises(ZeroDivisionError):
+        cli.main(argv)
 
 
 def test_extension_command(capsys):

@@ -125,6 +125,18 @@ def test_round_trip_generated():
         assert dsl.parse(dsl.print_source(sf)) == sf
 
 
+def test_position_is_not_part_of_a_declaration():
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".net"):
+            sf = parse_fixture(name)
+            with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as fh:
+                moved = dsl.parse("\n\n" + fh.read().replace("\n", "\n  "))
+            assert [d.line for d in moved.decls] != [d.line for d in sf.decls]
+            assert moved == sf and hash(moved) == hash(sf)
+            for a, b in zip(moved.decls, sf.decls):
+                assert a == b and hash(a) == hash(b)
+
+
 def test_networks_fixture_semantics():
     r = dsl.resolve(parse_fixture("networks.net"))
     from entronet.groupnet.catalog import carry

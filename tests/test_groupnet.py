@@ -1,6 +1,12 @@
 import pytest
 
-from entronet.groupnet.cohomology import coboundary1, coboundary2, verify_cocycle1
+from entronet.groupnet.cohomology import (
+    Cocycle1,
+    Cocycle2,
+    coboundary1,
+    coboundary2,
+    verify_cocycle1,
+)
 from entronet.groupnet.diagrams import (
     GCapLR,
     GCapRL,
@@ -317,6 +323,36 @@ def test_alpha_cf_counts_dots_once():
     G, U, f, c = aff3()
     d = GDiagram(G, (), ((GDot((2,)), 0),))
     assert eval_alpha_cf(d, c, f) == (2,)
+
+
+def test_alpha_cf_rejects_a_cocycle_over_another_group():
+    G1, G2 = Group.cyclic(3), Group.cyclic(3)
+    U1, U2 = GModule.trivial(G1, (5,)), GModule.trivial(G2, (5,))
+    zero1 = Cocycle2(U1, tuple(tuple((0,) for _ in range(3)) for _ in range(3)))
+    zero2 = Cocycle2(U2, zero1.values)
+    f1 = Cocycle1(U1, ((0,), (1,), (2,)))
+    f2 = Cocycle1(U2, f1.values)
+    d = GDiagram(G1, (), ((GDot((4,)), 0), (GCupLR(1), 0), (GCapLR(1), 0)))
+    for c, f in ((zero1, f2), (zero2, f1)):
+        with pytest.raises(GDiagramError, match="different group"):
+            eval_alpha_cf(d, c, f)
+
+
+def test_evaluation_errors_name_the_callers_layer():
+    """A macro counts as one layer: the layer after it is layer 1, not 2."""
+    G, U, f, c = aff3()
+    d = GDiagram(G, (L(1), L(2)), ((T2MergeLL(1, 2), 0), (GCapLR(0), 0)))
+    evaluations = (
+        validate_gdiagram,
+        lambda d: eval_alpha_u(d, U),
+        lambda d: eval_alpha_f(d, f),
+        lambda d: eval_alpha_c(d, c),
+        lambda d: eval_alpha_cf(d, c, f),
+    )
+    for evaluate in evaluations:
+        with pytest.raises(GDiagramError) as err:
+            evaluate(d)
+        assert err.value.layer == 1 and str(err.value).startswith("layer 1:")
 
 
 def test_alpha_f_vertex_past_extremum():

@@ -1,0 +1,135 @@
+"""Pinned hashes of the seeded streams and of what is computed from them.
+
+A refactor that keeps behaviour keeps every hash below: the sampled affine
+diagrams, their exact values, the SVG text of both diagram kinds and the four
+group-network evaluations.  The seeds are the defaults (ENTRONET_SEED unset).
+"""
+
+import hashlib
+
+import pytest
+
+from entronet import affine as af
+from entronet import render
+from entronet.groupnet.catalog import carry
+from entronet.groupnet.cohomology import Cocycle1, coboundary1, coboundary2, verify_cocycle1
+from entronet.groupnet.diagrams import (
+    GDiagram,
+    eval_alpha_c,
+    eval_alpha_cf,
+    eval_alpha_f,
+    eval_alpha_u,
+)
+from entronet.groupnet.groups import GModule, Group
+from entronet.sampling import random_closed_gdiagram, random_diagram, seeded_rng
+
+
+def _sha(items) -> str:
+    h = hashlib.sha256()
+    for x in items:
+        h.update(repr(x).encode())
+        h.update(b"\n")
+    return h.hexdigest()[:16]
+
+
+def _draws():
+    """The first 300 J-mode and 100 H-mode affine draws."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ENTRONET_SEED", raising=False)
+        rng = seeded_rng(5)
+        j = [random_diagram(rng) for _ in range(300)]
+        rng = seeded_rng(6)
+        h = [random_diagram(rng, mode=af.MODE_H) for _ in range(100)]
+    return j, h
+
+
+@pytest.fixture(scope="module")
+def draws():
+    return _draws()
+
+
+def test_affine_stream(draws):
+    j, h = draws
+    assert _sha(j) == PINS["affine_j"]
+    assert _sha(h) == PINS["affine_h"]
+
+
+def test_affine_values(draws):
+    for key, ds in zip(("j", "h"), draws):
+        assert _sha(af.j_invariant(d) for d in ds) == PINS[f"jinv_{key}"]
+        assert _sha(af.dot_contribution(d) for d in ds) == PINS[f"dots_{key}"]
+
+
+def _networks():
+    """Closed networks with dots, each with a module, a 1-cocycle and a 2-cocycle."""
+    out = []
+    for n in (4, 6):
+        c = carry(n)
+        U = c.module
+        f = Cocycle1(U, tuple((g,) for g in U.group.elements()))
+        out.append((U, f, c))
+    G = Group.aff1_mod_p(3)
+    elems = [(0, 1)] + [(a, c) for c in range(1, 3) for a in range(3) if (a, c) != (0, 1)]
+    U = GModule.scaling_action(G, 3, {i: c for i, (a, c) in enumerate(elems)})
+    b = [(0,), (1,), (2,), (0,), (2,), (1,)]
+    out.append((U, coboundary1(U, (1,)), coboundary2(U, b)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ENTRONET_SEED", raising=False)
+        rng = seeded_rng(41)
+    nets = []
+    for U, f, c in out:
+        assert verify_cocycle1(f)
+        for k in range(12):
+            d = random_closed_gdiagram(rng, U.group, grow_layers=k, allow_dots=True, module=U)
+            nets.append((d, U, f, c))
+    return nets
+
+
+def _svg_hashes() -> dict:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ENTRONET_SEED", raising=False)
+        rng = seeded_rng(31)
+        affine = [random_diagram(rng, mode=af.MODES[i % 3]) for i in range(40)]
+        rng = seeded_rng(32)
+        U = GModule.trivial(Group.cyclic(6), (4,))
+        nets = [
+            random_closed_gdiagram(rng, U.group, grow_layers=i % 9, allow_dots=True, module=U)
+            for i in range(20)
+        ]
+    return {
+        "svg_affine": _sha(render.to_svg(d) for d in affine),
+        "svg_networks": _sha(render.to_svg(d) for d in nets),
+    }
+
+
+def test_svg_text():
+    assert _svg_hashes() == {k: PINS[k] for k in ("svg_affine", "svg_networks")}
+
+
+def _alpha_hash() -> str:
+    """The four evaluations on every layer prefix, so open networks count too."""
+    values = []
+    for d, U, f, c in _networks():
+        for k in range(len(d.layers) + 1):
+            p = GDiagram(d.group, d.source, d.layers[:k])
+            values.append(
+                (eval_alpha_u(p, U), eval_alpha_f(p, f), eval_alpha_c(p, c), eval_alpha_cf(p, c, f))
+            )
+    return _sha(values)
+
+
+def test_network_evaluations():
+    assert _alpha_hash() == PINS["alpha"]
+
+
+PINS = {
+    "affine_j": "f33cf3c27e898a3b",
+    "affine_h": "c9d00caf6c45ff82",
+    "jinv_j": "71af8d9268205e92",
+    "dots_j": "2d91150597447dc4",
+    "jinv_h": "a62aede73693893c",
+    "dots_h": "a80c2123cba83f03",
+    "svg_affine": "638b1af6b9495077",
+    "svg_networks": "388ca6cbd7ea9c97",
+    "alpha": "e857f2644b7b7679",
+}
