@@ -31,6 +31,7 @@ from .jspace import (
     entropy_render,
     symbol,
 )
+from .mirror import mirrored, signed_pairs
 
 Rational = Fraction
 
@@ -149,7 +150,8 @@ class AffWeight:
 
 # ---------------------------------------------------------------------------
 # Generators.  Each stores the weights it needs; domain and codomain are a
-# total function of the generator.
+# total function of the generator.  Splits and caps are the mirrors of merges
+# and cups: the same fields, domain and codomain swapped.
 
 
 @dataclass(frozen=True)
@@ -164,16 +166,7 @@ class AddMerge:
         return (xplus(self.a + self.b),)
 
 
-@dataclass(frozen=True)
-class AddSplit:
-    a: Fraction
-    b: Fraction
-
-    def dom(self) -> Obj:
-        return (xplus(self.a + self.b),)
-
-    def cod(self) -> Obj:
-        return (xplus(self.a), xplus(self.b))
+AddSplit = mirrored(AddMerge, "AddSplit")
 
 
 @dataclass(frozen=True)
@@ -190,16 +183,7 @@ class AddMergeDual:
         return (xminus(self.a + self.b),)
 
 
-@dataclass(frozen=True)
-class AddSplitDual:
-    a: Fraction
-    b: Fraction
-
-    def dom(self) -> Obj:
-        return (xminus(self.a + self.b),)
-
-    def cod(self) -> Obj:
-        return (xminus(self.b), xminus(self.a))
+AddSplitDual = mirrored(AddMergeDual, "AddSplitDual")
 
 
 @dataclass(frozen=True)
@@ -258,16 +242,7 @@ class MultMerge:
         return (yplus(self.c1 * self.c2),)
 
 
-@dataclass(frozen=True)
-class MultSplit:
-    c1: Fraction
-    c2: Fraction
-
-    def dom(self) -> Obj:
-        return (yplus(self.c1 * self.c2),)
-
-    def cod(self) -> Obj:
-        return (yplus(self.c1), yplus(self.c2))
+MultSplit = mirrored(MultMerge, "MultSplit")
 
 
 @dataclass(frozen=True)
@@ -282,16 +257,7 @@ class MultMergeDual:
         return (yminus(self.c1 * self.c2),)
 
 
-@dataclass(frozen=True)
-class MultSplitDual:
-    c1: Fraction
-    c2: Fraction
-
-    def dom(self) -> Obj:
-        return (yminus(self.c1 * self.c2),)
-
-    def cod(self) -> Obj:
-        return (yminus(self.c1), yminus(self.c2))
+MultSplitDual = mirrored(MultMergeDual, "MultSplitDual")
 
 
 @dataclass(frozen=True)
@@ -322,17 +288,7 @@ class CupX:
         return pair if self.plus_on_left else pair[::-1]
 
 
-@dataclass(frozen=True)
-class CapX:
-    a: Fraction
-    plus_on_left: bool
-
-    def dom(self) -> Obj:
-        pair = (xplus(self.a), xminus(self.a))
-        return pair if self.plus_on_left else pair[::-1]
-
-    def cod(self) -> Obj:
-        return ()
+CapX = mirrored(CupX, "CapX")
 
 
 @dataclass(frozen=True)
@@ -348,17 +304,7 @@ class CupY:
         return pair if self.plus_on_left else pair[::-1]
 
 
-@dataclass(frozen=True)
-class CapY:
-    c: Fraction
-    plus_on_left: bool
-
-    def dom(self) -> Obj:
-        pair = (yplus(self.c), yminus(self.c))
-        return pair if self.plus_on_left else pair[::-1]
-
-    def cod(self) -> Obj:
-        return ()
+CapY = mirrored(CupY, "CapY")
 
 
 DotPayload = Union[PrimeVector, EntropyScalar, float]
@@ -445,10 +391,6 @@ def states(d: Diagram) -> list[Obj]:
 def validate(d: Diagram) -> Obj:
     """Target object of a well-formed diagram; raises at the first bad layer."""
     return states(d)[-1]
-
-
-def target(d: Diagram) -> Obj:
-    return validate(d)
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +490,17 @@ def _dot_value(mode: str, payload: DotPayload):
     return float(payload)
 
 
+# Sign of each additive vertex's winding-scaled symbol; a split takes the
+# opposite sign of its merge.
+_VERTEX_SIGNS = signed_pairs({AddMerge: 1, AddMergeDual: -1})
+
+
 def layer_contribution(mode: str, obj: Obj, gen: Generator, pos: int):
     """Evaluation contribution of one layer applied to obj at pos."""
     w = winding_product(obj, pos)
-    if isinstance(gen, AddMerge):
-        return _scale_value(mode, w, _vertex_value(mode, gen.a, gen.b))
-    if isinstance(gen, AddSplit):
-        return _scale_value(mode, -w, _vertex_value(mode, gen.a, gen.b))
-    if isinstance(gen, AddMergeDual):
-        return _scale_value(mode, -w, _vertex_value(mode, gen.a, gen.b))
-    if isinstance(gen, AddSplitDual):
-        return _scale_value(mode, w, _vertex_value(mode, gen.a, gen.b))
+    sign = _VERTEX_SIGNS.get(type(gen))
+    if sign is not None:
+        return _scale_value(mode, w if sign > 0 else -w, _vertex_value(mode, gen.a, gen.b))
     if isinstance(gen, Dot):
         return _scale_value(mode, w, _dot_value(mode, gen.payload))
     return None
@@ -625,10 +567,6 @@ def morphism_exists(z0: Sequence[Pt], z1: Sequence[Pt]) -> bool:
     return object_weight(tuple(z0)) == object_weight(tuple(z1))
 
 
-def is_dotless(d: Diagram) -> bool:
-    return all(not isinstance(gen, Dot) for gen, _ in d.layers)
-
-
 def equal_morphisms(d1: Diagram, d2: Diagram, tol: float = FLOAT_TOL) -> bool:
     """Equality in the dotted calculus: same boundary and equal evaluation.
 
@@ -646,49 +584,25 @@ def equal_morphisms(d1: Diagram, d2: Diagram, tol: float = FLOAT_TOL) -> bool:
 def inverse_layers(layers: Iterable[Layer]) -> tuple[Layer, ...]:
     """Layer list of the vertically reflected diagram.
 
-    Every generator reverses individually; the one-directional crossing
-    reverses to a three-layer conjugate by a cup and a cap.
+    A paired generator reverses to its mirror, the others individually; the
+    one-directional crossing reverses to a three-layer conjugate by a cup and
+    a cap.
     """
     out: list[Layer] = []
     for gen, pos in reversed(tuple(layers)):
-        if isinstance(gen, AddMerge):
-            out.append((AddSplit(gen.a, gen.b), pos))
-        elif isinstance(gen, AddSplit):
-            out.append((AddMerge(gen.a, gen.b), pos))
-        elif isinstance(gen, AddMergeDual):
-            out.append((AddSplitDual(gen.a, gen.b), pos))
-        elif isinstance(gen, AddSplitDual):
-            out.append((AddMergeDual(gen.a, gen.b), pos))
-        elif isinstance(gen, MultMerge):
-            out.append((MultSplit(gen.c1, gen.c2), pos))
-        elif isinstance(gen, MultSplit):
-            out.append((MultMerge(gen.c1, gen.c2), pos))
-        elif isinstance(gen, MultMergeDual):
-            out.append((MultSplitDual(gen.c1, gen.c2), pos))
-        elif isinstance(gen, MultSplitDual):
-            out.append((MultMergeDual(gen.c1, gen.c2), pos))
+        mirror = getattr(gen, "mirror", None)
+        if mirror is not None:
+            out.append((mirror(**vars(gen)), pos))
         elif isinstance(gen, CoorientRev):
             out.append((CoorientRev(1 / Fraction(gen.c), not gen.from_plus), pos))
-        elif isinstance(gen, CupX):
-            out.append((CapX(gen.a, gen.plus_on_left), pos))
-        elif isinstance(gen, CapX):
-            out.append((CupX(gen.a, gen.plus_on_left), pos))
-        elif isinstance(gen, CupY):
-            out.append((CapY(gen.c, gen.plus_on_left), pos))
-        elif isinstance(gen, CapY):
-            out.append((CupY(gen.c, gen.plus_on_left), pos))
         elif isinstance(gen, AddCross):
             out.append((AddCross(gen.second, gen.first), pos))
         elif isinstance(gen, XYCross):
-            y, x_out = gen.y, gen.cod()[0]
-            if y.kind is Kind.YP:
-                out.append((CupY(y.weight, True), pos))
-                out.append((XYCross(yminus(y.weight), x_out), pos + 1))
-                out.append((CapY(y.weight, False), pos + 2))
-            else:
-                out.append((CupY(y.weight, False), pos))
-                out.append((XYCross(yplus(y.weight), x_out), pos + 1))
-                out.append((CapY(y.weight, True), pos + 2))
+            c, plus = gen.y.weight, gen.y.kind is Kind.YP
+            y = yminus(c) if plus else yplus(c)
+            out.append((CupY(c, plus), pos))
+            out.append((XYCross(y, gen.cod()[0]), pos + 1))
+            out.append((CapY(c, not plus), pos + 2))
         elif isinstance(gen, Dot):
             payload = gen.payload
             neg = -payload if not isinstance(payload, (float, int)) else -float(payload)

@@ -53,6 +53,8 @@ def _load(path: str) -> dsl.Resolved:
             text = fh.read()
     except OSError as exc:
         raise CliError(str(exc), EXIT_USAGE)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}", EXIT_PARSE)
     try:
         sf = dsl.parse(text)
     except dsl.ParseError as exc:
@@ -379,61 +381,65 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="entronet", description=__doc__)
-    top.add_argument("--json", action="store_true", help="machine-readable output")
+    # --json goes before or after the subcommand; SUPPRESS keeps a subcommand's
+    # parser from resetting a flag given before it
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--json", action="store_true", default=argparse.SUPPRESS, help="machine-readable output"
+    )
+    top = argparse.ArgumentParser(prog="entronet", description=__doc__, parents=[common])
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="parse and validate a source file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+    def command(parent, name: str, func, **kwargs) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, parents=[common], **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("weight", help="print the weight of an object")
+    p = command(sub, "validate", cmd_validate, help="parse and validate a source file")
+    p.add_argument("file")
+
+    p = command(sub, "weight", cmd_weight, help="print the weight of an object")
     p.add_argument("file")
     p.add_argument("--object", required=True)
-    p.set_defaults(func=cmd_weight)
 
-    p = sub.add_parser("jinv", help="evaluate a diagram")
+    p = command(sub, "jinv", cmd_jinv, help="evaluate a diagram")
     p.add_argument("file")
     p.add_argument("--diagram", required=True)
     p.add_argument("--format", choices=["prime-vector", "entropy", "float"], default="prime-vector")
-    p.set_defaults(func=cmd_jinv)
 
-    p = sub.add_parser("entropy", help="exact and float entropy of a distribution")
+    p = command(sub, "entropy", cmd_entropy, help="exact and float entropy of a distribution")
     p.add_argument("--dist", required=True)
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser("chain", help="verify the entropy grouping identity")
+    p = command(sub, "chain", cmd_chain, help="verify the entropy grouping identity")
     p.add_argument("--z", required=True)
     p.add_argument("--y", action="append", required=True)
-    p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("normalize", help="canonical form of a diagram")
+    p = command(sub, "normalize", cmd_normalize, help="canonical form of a diagram")
     p.add_argument("file")
     p.add_argument("--diagram", required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("check-rewrites", help="random rewrite applications with invariants checked")
+    p = command(
+        sub, "check-rewrites", cmd_check_rewrites,
+        help="random rewrite applications with invariants checked",
+    )
     p.add_argument("file")
     p.add_argument("--diagram", required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_check_rewrites)
 
-    p = sub.add_parser("eval", help="evaluate a group network")
+    p = command(sub, "eval", cmd_eval, help="evaluate a group network")
     p.add_argument("file")
     p.add_argument("--gdiagram", required=True)
     p.add_argument("--with", dest="with_", choices=["alphaU", "alphaF", "alphaC", "alphaCF"], required=True)
     p.add_argument("--cocycle")
     p.add_argument("--cocycle1")
     p.add_argument("--module")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("extension", help="central extension order profile")
+    p = command(sub, "extension", cmd_extension, help="central extension order profile")
     p.add_argument("file")
     p.add_argument("--cocycle", required=True)
-    p.set_defaults(func=cmd_extension)
 
-    p = sub.add_parser("h2", help="cohomology of a finite group")
+    p = command(sub, "h2", cmd_h2, help="cohomology of a finite group")
     p.add_argument(
         "--group",
         required=True,
@@ -443,31 +449,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", required=True, help="z:M or z:M1,M2")
     p.add_argument("--action", default="trivial")
     p.add_argument("--degree", type=int, default=2, choices=[1, 2])
-    p.set_defaults(func=cmd_h2)
 
-    p = sub.add_parser("catalog", help="named cocycles")
+    p = sub.add_parser("catalog", parents=[common], help="named cocycles")
     csub = p.add_subparsers(dest="which", required=True)
-    pc = csub.add_parser("carry")
-    pc.add_argument("--n", type=int, required=True)
-    pc.set_defaults(func=cmd_catalog)
-    pw = csub.add_parser("witt")
-    pw.add_argument("--p", type=int, required=True)
-    pw.set_defaults(func=cmd_catalog)
-    pb = csub.add_parser("binomial")
-    pb.add_argument("--max", type=int, default=12)
-    pb.set_defaults(func=cmd_catalog)
-    pp = csub.add_parser("pmi")
-    pp.add_argument("--masses", required=True, help='e.g. "a=1/2; b=1/4; c=1/4"')
-    pp.set_defaults(func=cmd_catalog)
+    command(csub, "carry", cmd_catalog).add_argument("--n", type=int, required=True)
+    command(csub, "witt", cmd_catalog).add_argument("--p", type=int, required=True)
+    command(csub, "binomial", cmd_catalog).add_argument("--max", type=int, default=12)
+    command(csub, "pmi", cmd_catalog).add_argument(
+        "--masses", required=True, help='e.g. "a=1/2; b=1/4; c=1/4"'
+    )
 
-    p = sub.add_parser("render", help="render a diagram to SVG")
+    p = command(sub, "render", cmd_render, help="render a diagram to SVG")
     p.add_argument("file")
     p.add_argument("--diagram", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.set_defaults(func=cmd_selftest)
+    command(sub, "selftest", cmd_selftest, help="run the acceptance suite")
 
     return top
 

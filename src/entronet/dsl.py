@@ -18,17 +18,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import affine as af
 from .jspace import EntropyScalar, PrimeVector
-from .groupnet.cohomology import Cocycle1, Cocycle2, is_normalized, verify_cocycle1, verify_cocycle2
+from .groupnet.cohomology import (
+    Cocycle1,
+    Cocycle2,
+    SizeBoundExceeded,
+    check_system_size,
+    is_normalized,
+    verify_cocycle1,
+    verify_cocycle2,
+)
 from .groupnet.diagrams import (
     GCapLR,
     GCapRL,
     GCupLR,
     GCupRL,
     GDiagram,
+    GDiagramError,
     GDot,
     GFlip,
     GPt,
@@ -40,6 +49,7 @@ from .groupnet.diagrams import (
     VMergeR,
     VSplitL,
     VSplitR,
+    apply_glayer,
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
 from .scalars import format_rational
@@ -55,6 +65,105 @@ class ResolveError(Exception):
     def __init__(self, message: str, line: int, col: int):
         self.line, self.col = line, col
         super().__init__(f"{line}:{col}: {message}")
+
+
+# ---------------------------------------------------------------------------
+# Layer tables, one per calculus.
+
+# Kinds of written layer arguments.
+RATIONAL = "a rational"
+NONZERO = "a nonzero rational"
+SIGN = "+ or -"
+ELEMENT = "a group element"
+ENTRIES = "module entries"  # any number of integers, together one field
+
+_DOT = "dot"
+
+
+@dataclass(frozen=True)
+class LayerRule:
+    """How one DSL layer name builds its generator.
+
+    build takes the written arguments, checked and converted by the kinds in
+    args; or, when infer is given, the fields infer(pt) reads off the strands
+    pt(0), pt(1), ... at the layer's position, and the layer takes no
+    arguments.  An affine dot's payload comes last.
+    """
+
+    build: Callable
+    args: tuple[str, ...] = ()
+    infer: Optional[Callable] = None
+
+
+def _weights(pt):
+    return pt(0).weight, pt(1).weight
+
+
+def _strands(pt):
+    return pt(0), pt(1)
+
+
+def _elements(pt):
+    return pt(0).g, pt(1).g
+
+
+def _cap(p: GPt, q: GPt):
+    if p.left and not q.left:
+        return GCapLR(p.g)
+    if not p.left and q.left:
+        return GCapRL(p.g)
+    raise GDiagramError("cap needs opposite co-orientations")
+
+
+# Splits and cups carry the weights their domain does not determine; merges
+# and caps read theirs off the strands.  Random sources draw names in this order.
+AFFINE_LAYERS = {
+    "add_merge": LayerRule(af.AddMerge, infer=_weights),
+    "add_split": LayerRule(af.AddSplit, (RATIONAL, RATIONAL)),
+    "add_merge_dual": LayerRule(af.AddMergeDual, infer=lambda pt: _weights(pt)[::-1]),
+    "add_split_dual": LayerRule(af.AddSplitDual, (RATIONAL, RATIONAL)),
+    "add_cross": LayerRule(af.AddCross, infer=_strands),
+    "xy_cross": LayerRule(af.XYCross, infer=_strands),
+    "mult_merge": LayerRule(af.MultMerge, infer=_weights),
+    "mult_split": LayerRule(af.MultSplit, (NONZERO, NONZERO)),
+    "mult_merge_dual": LayerRule(af.MultMergeDual, infer=_weights),
+    "mult_split_dual": LayerRule(af.MultSplitDual, (NONZERO, NONZERO)),
+    "coorient_rev": LayerRule(
+        af.CoorientRev, infer=lambda pt: (pt(0).weight, pt(0).kind is af.Kind.YP)
+    ),
+    "cup_x": LayerRule(af.CupX, (RATIONAL, SIGN)),
+    "cap_x": LayerRule(af.CapX, infer=lambda pt: (pt(0).weight, pt(0).kind is af.Kind.XP)),
+    "cup_y": LayerRule(af.CupY, (NONZERO, SIGN)),
+    "cap_y": LayerRule(af.CapY, infer=lambda pt: (pt(0).weight, pt(0).kind is af.Kind.YP)),
+    _DOT: LayerRule(af.Dot),
+}
+
+GROUP_LAYERS = {
+    "merge_l": LayerRule(VMergeL, infer=_elements),
+    "merge_r": LayerRule(VMergeR, infer=_elements),
+    "split_l": LayerRule(VSplitL, (ELEMENT, ELEMENT)),
+    "split_r": LayerRule(VSplitR, (ELEMENT, ELEMENT)),
+    "flip": LayerRule(GFlip, infer=lambda pt: (pt(0).g, pt(0).left)),
+    "cup_lr": LayerRule(GCupLR, (ELEMENT,)),
+    "cup_rl": LayerRule(GCupRL, (ELEMENT,)),
+    "cap": LayerRule(_cap, infer=_strands),
+    "t2_merge_ll": LayerRule(T2MergeLL, infer=_elements),
+    "t2_merge_rr": LayerRule(T2MergeRR, infer=_elements),
+    "t2_split_ll": LayerRule(T2SplitLL, (ELEMENT, ELEMENT)),
+    "t2_split_rr": LayerRule(T2SplitRR, (ELEMENT, ELEMENT)),
+    _DOT: LayerRule(GDot, (ENTRIES,)),
+}
+
+
+def _layer_arg(kind: str, a, order: int):
+    """The generator field for a written argument of the kind, or None."""
+    if kind == SIGN:
+        return {"+": True, "-": False}.get(a)
+    if kind == ELEMENT:
+        return a if type(a) is int and 0 <= a < order else None
+    if isinstance(a, (int, Fraction)) and (kind == RATIONAL or a != 0):
+        return a
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +453,16 @@ class _Parser:
             points.append(PointSpec(k + sign.text, w))
         return ObjectDecl(name, tuple(points), head.line, head.col)
 
-    def parse_layer(self, mode: str) -> LayerSpec:
+    def parse_layer(self, mode: Optional[str]) -> LayerSpec:
+        """One layer; with mode None a group-network layer: integer arguments, no payload."""
         name_tok = self.expect("ident")
         args: list = []
         if self.accept("sym", "("):
             while not self.accept("sym", ")"):
                 tok = self.peek()
-                if tok.kind == "sym" and tok.text == "+":
+                if mode is None:
+                    args.append(self.parse_int())
+                elif tok.kind == "sym" and tok.text == "+":
                     self.next()
                     args.append("+")
                 elif (
@@ -368,7 +480,7 @@ class _Parser:
         self.expect("sym", "@")
         pos = self.parse_int()
         payload: Optional[Payload] = None
-        if name_tok.text == "dot":
+        if name_tok.text == _DOT and mode is not None:
             payload = self.parse_payload(mode)
         return LayerSpec(name_tok.text, tuple(args), pos, payload, name_tok.line, name_tok.col)
 
@@ -399,7 +511,7 @@ class _Parser:
         layers = self.parse_layer_block(mode)
         return DiagramDecl(name, src, tgt, layers, mode, head.line, head.col)
 
-    def parse_layer_block(self, mode: str) -> tuple[LayerSpec, ...]:
+    def parse_layer_block(self, mode: Optional[str]) -> tuple[LayerSpec, ...]:
         self.expect("sym", "{")
         layers = []
         while not self.accept("sym", "}"):
@@ -536,24 +648,8 @@ class _Parser:
         src = self.parse_gpoints()
         self.expect("arrow")
         tgt = self.parse_gpoints()
-        self.expect("sym", "{")
-        layers = []
-        while not self.accept("sym", "}"):
-            name_tok = self.expect("ident")
-            args: list = []
-            if self.accept("sym", "("):
-                while not self.accept("sym", ")"):
-                    args.append(self.parse_int())
-                    if not self.accept("sym", ","):
-                        self.expect("sym", ")")
-                        break
-            self.expect("sym", "@")
-            pos = self.parse_int()
-            layers.append(LayerSpec(name_tok.text, tuple(args), pos, None, name_tok.line, name_tok.col))
-            if not self.accept("sym", ";"):
-                self.expect("sym", "}")
-                break
-        return GDiagramDecl(name, group, src, tgt, tuple(layers), head.line, head.col)
+        layers = self.parse_layer_block(None)
+        return GDiagramDecl(name, group, src, tgt, layers, head.line, head.col)
 
 
 def parse(text: str) -> SourceFile:
@@ -661,106 +757,56 @@ class Resolved:
     gdiagrams: dict[str, GDiagram] = field(default_factory=dict)
 
 
-def _resolve_affine_layer(obj: af.Obj, spec: LayerSpec) -> af.Layer:
-    def fail(msg: str):
-        raise ResolveError(msg, spec.line, spec.col)
+def _resolve_layers(table: dict, decl, src: tuple, tgt: tuple, apply, order: int = 0):
+    """The layers of a diagram declaration, built on src and ending in tgt.
 
-    def pt(i: int) -> af.Pt:
-        if i < 0 or i >= len(obj):
-            fail(f"position {spec.pos} out of range")
-        return obj[i]
+    Each spec is checked against its row of the calculus's layer table
+    (argument count and kinds; group elements below order), then applied by
+    apply(obj, gen, pos) to the object below it.
+    """
+    cur, layers = src, []
+    for spec in decl.layers:
+        name, args, pos = spec.name, spec.args, spec.pos
 
-    name, args, pos = spec.name, spec.args, spec.pos
-    try:
-        if name == "add_merge":
-            return af.AddMerge(pt(pos).weight, pt(pos + 1).weight), pos
-        if name == "add_split":
-            return af.AddSplit(args[0], args[1]), pos
-        if name == "add_merge_dual":
-            return af.AddMergeDual(pt(pos + 1).weight, pt(pos).weight), pos
-        if name == "add_split_dual":
-            return af.AddSplitDual(args[0], args[1]), pos
-        if name == "add_cross":
-            return af.AddCross(pt(pos), pt(pos + 1)), pos
-        if name == "xy_cross":
-            return af.XYCross(pt(pos), pt(pos + 1)), pos
-        if name == "mult_merge":
-            return af.MultMerge(pt(pos).weight, pt(pos + 1).weight), pos
-        if name == "mult_split":
-            return af.MultSplit(args[0], args[1]), pos
-        if name == "mult_merge_dual":
-            return af.MultMergeDual(pt(pos).weight, pt(pos + 1).weight), pos
-        if name == "mult_split_dual":
-            return af.MultSplitDual(args[0], args[1]), pos
-        if name == "coorient_rev":
-            return af.CoorientRev(pt(pos).weight, pt(pos).kind is af.Kind.YP), pos
-        if name == "cup_x":
-            return af.CupX(args[0], args[1] == "+"), pos
-        if name == "cap_x":
-            return af.CapX(pt(pos).weight, pt(pos).kind is af.Kind.XP), pos
-        if name == "cup_y":
-            return af.CupY(args[0], args[1] == "+"), pos
-        if name == "cap_y":
-            return af.CapY(pt(pos).weight, pt(pos).kind is af.Kind.YP), pos
-        if name == "dot":
-            return af.Dot(spec.payload), pos
-    except IndexError:
-        fail(f"wrong number of arguments for {name!r}")
-    except af.DiagramError as exc:
-        fail(str(exc))
-    fail(f"unknown layer kind {name!r}")
+        def fail(msg: str):
+            raise ResolveError(msg, spec.line, spec.col)
 
+        def pt(k: int):
+            if not 0 <= pos + k < len(cur):
+                fail(f"position {pos} out of range")
+            return cur[pos + k]
 
-def _resolve_glayer(G: Group, obj, spec: LayerSpec):
-    def fail(msg: str):
-        raise ResolveError(msg, spec.line, spec.col)
-
-    def pt(i: int) -> GPt:
-        if i < 0 or i >= len(obj):
-            fail(f"position {spec.pos} out of range")
-        return obj[i]
-
-    def elt(k: int) -> int:
-        if not 0 <= args[k] < G.order:
-            fail(f"element {args[k]} out of range")
-        return args[k]
-
-    name, args, pos = spec.name, spec.args, spec.pos
-    try:
-        if name == "merge_l":
-            return VMergeL(pt(pos).g, pt(pos + 1).g), pos
-        if name == "merge_r":
-            return VMergeR(pt(pos).g, pt(pos + 1).g), pos
-        if name == "split_l":
-            return VSplitL(elt(0), elt(1)), pos
-        if name == "split_r":
-            return VSplitR(elt(0), elt(1)), pos
-        if name == "flip":
-            return GFlip(pt(pos).g, pt(pos).left), pos
-        if name == "cup_lr":
-            return GCupLR(elt(0)), pos
-        if name == "cup_rl":
-            return GCupRL(elt(0)), pos
-        if name == "cap":
-            p, q = pt(pos), pt(pos + 1)
-            if p.left and not q.left:
-                return GCapLR(p.g), pos
-            if not p.left and q.left:
-                return GCapRL(p.g), pos
-            fail("cap needs opposite co-orientations")
-        if name == "t2_merge_ll":
-            return T2MergeLL(pt(pos).g, pt(pos + 1).g), pos
-        if name == "t2_merge_rr":
-            return T2MergeRR(pt(pos).g, pt(pos + 1).g), pos
-        if name == "t2_split_ll":
-            return T2SplitLL(elt(0), elt(1)), pos
-        if name == "t2_split_rr":
-            return T2SplitRR(elt(0), elt(1)), pos
-        if name == "dot":
-            return GDot(tuple(args)), pos
-    except IndexError:
-        fail(f"wrong number of arguments for {name!r}")
-    fail(f"unknown layer kind {name!r}")
+        rule = table.get(name)
+        if rule is None:
+            fail(f"unknown layer kind {name!r}")
+        if rule.args == (ENTRIES,):
+            values = (tuple(args),)
+        elif len(args) != len(rule.args):
+            fail(
+                f"wrong number of arguments for {name!r}: "
+                f"expected {len(rule.args)}, found {len(args)}"
+            )
+        elif rule.infer is not None:
+            values = rule.infer(pt)
+        else:
+            values = []
+            for k, (kind, a) in enumerate(zip(rule.args, args), 1):
+                value = _layer_arg(kind, a, order)
+                if value is None:
+                    what = f"{kind} below {order}" if kind == ELEMENT else kind
+                    fail(f"argument {k} of {name!r} must be {what}, found {a}")
+                values.append(value)
+        if spec.payload is not None:
+            values = (*values, spec.payload)
+        try:
+            gen = rule.build(*values)
+            cur = apply(cur, gen, pos)
+        except (af.DiagramError, GDiagramError) as exc:
+            fail(str(exc))
+        layers.append((gen, pos))
+    if cur != tgt:
+        raise ResolveError(f"declared target does not match computed {cur!r}", decl.line, decl.col)
+    return tuple(layers)
 
 
 def resolve(sf: SourceFile) -> Resolved:
@@ -783,34 +829,30 @@ def resolve(sf: SourceFile) -> Resolved:
         elif isinstance(decl, DiagramDecl):
             src = lookup(out.objects, decl.source, "object", decl.line, decl.col)
             tgt = lookup(out.objects, decl.target, "object", decl.line, decl.col)
-            cur = src
-            layers = []
-            for spec in decl.layers:
-                gen, pos = _resolve_affine_layer(cur, spec)
-                try:
-                    cur = af.apply_layer(cur, gen, pos)
-                except af.DiagramError as exc:
-                    raise ResolveError(str(exc), spec.line, spec.col)
-                layers.append((gen, pos))
-            if cur != tgt:
-                raise ResolveError(
-                    f"declared target {decl.target!r} does not match computed {cur!r}",
-                    decl.line,
-                    decl.col,
-                )
-            out.diagrams[decl.name] = af.Diagram(src, tuple(layers), decl.mode)
+            layers = _resolve_layers(AFFINE_LAYERS, decl, src, tgt, af.apply_layer)
+            out.diagrams[decl.name] = af.Diagram(src, layers, decl.mode)
         elif isinstance(decl, GroupDecl):
+            if decl.ctor == "product":
+                g1 = lookup(out.groups, decl.args[0], "group", decl.line, decl.col)
+                g2 = lookup(out.groups, decl.args[1], "group", decl.line, decl.col)
+                order = g1.order * g2.order
+            elif decl.ctor == "aff1modp":
+                order = decl.args[0] * (decl.args[0] - 1)
+            else:  # cyclic(n), or a table with a row per element
+                order = decl.args[0] if decl.ctor == "cyclic" else len(decl.args[0])
             try:
+                # before the group's tables are built: H^1 over it stays within the bound
+                check_system_size(order, 1, 1)
                 if decl.ctor == "cyclic":
                     out.groups[decl.name] = Group.cyclic(decl.args[0])
                 elif decl.ctor == "aff1modp":
                     out.groups[decl.name] = Group.aff1_mod_p(decl.args[0])
                 elif decl.ctor == "product":
-                    g1 = lookup(out.groups, decl.args[0], "group", decl.line, decl.col)
-                    g2 = lookup(out.groups, decl.args[1], "group", decl.line, decl.col)
                     out.groups[decl.name] = Group.direct_product(g1, g2)
                 else:
                     out.groups[decl.name] = Group.from_table(decl.args[0])
+            except SizeBoundExceeded as exc:
+                raise ResolveError(f"group {decl.name!r} is too large: {exc}", decl.line, decl.col)
             except GroupValidationError as exc:
                 raise ResolveError(str(exc), decl.line, decl.col)
         elif isinstance(decl, ModuleDecl):
@@ -867,22 +909,9 @@ def resolve(sf: SourceFile) -> Resolved:
                     raise ResolveError(f"element {p.g} out of range", decl.line, decl.col)
             src = tuple(GPt(p.g, p.left) for p in decl.source)
             tgt = tuple(GPt(p.g, p.left) for p in decl.target)
-            cur = src
-            layers = []
-            for spec in decl.layers:
-                gen, pos = _resolve_glayer(G, cur, spec)
-                from .groupnet.diagrams import GDiagramError, apply_glayer
-
-                try:
-                    cur = apply_glayer(G, cur, gen, pos)
-                except GDiagramError as exc:
-                    raise ResolveError(str(exc), spec.line, spec.col)
-                layers.append((gen, pos))
-            if cur != tgt:
-                raise ResolveError(
-                    f"declared target does not match computed {cur!r}", decl.line, decl.col
-                )
-            out.gdiagrams[decl.name] = GDiagram(G, src, tuple(layers))
+            apply = lambda obj, gen, pos: apply_glayer(G, obj, gen, pos)
+            layers = _resolve_layers(GROUP_LAYERS, decl, src, tgt, apply, G.order)
+            out.gdiagrams[decl.name] = GDiagram(G, src, layers)
     return out
 
 
@@ -890,43 +919,16 @@ def resolve(sf: SourceFile) -> Resolved:
 # Unparsing semantic diagrams back into declarations (used by normalize -o).
 
 
+_AFFINE_NAMES = {rule.build: (name, rule.args) for name, rule in AFFINE_LAYERS.items()}
+
+
 def diagram_to_decl(name: str, src_name: str, tgt_name: str, d: af.Diagram) -> DiagramDecl:
     specs = []
     for gen, pos in d.layers:
-        if isinstance(gen, af.AddMerge):
-            specs.append(LayerSpec("add_merge", (), pos))
-        elif isinstance(gen, af.AddSplit):
-            specs.append(LayerSpec("add_split", (gen.a, gen.b), pos))
-        elif isinstance(gen, af.AddMergeDual):
-            specs.append(LayerSpec("add_merge_dual", (), pos))
-        elif isinstance(gen, af.AddSplitDual):
-            specs.append(LayerSpec("add_split_dual", (gen.a, gen.b), pos))
-        elif isinstance(gen, af.AddCross):
-            specs.append(LayerSpec("add_cross", (), pos))
-        elif isinstance(gen, af.XYCross):
-            specs.append(LayerSpec("xy_cross", (), pos))
-        elif isinstance(gen, af.MultMerge):
-            specs.append(LayerSpec("mult_merge", (), pos))
-        elif isinstance(gen, af.MultSplit):
-            specs.append(LayerSpec("mult_split", (gen.c1, gen.c2), pos))
-        elif isinstance(gen, af.MultMergeDual):
-            specs.append(LayerSpec("mult_merge_dual", (), pos))
-        elif isinstance(gen, af.MultSplitDual):
-            specs.append(LayerSpec("mult_split_dual", (gen.c1, gen.c2), pos))
-        elif isinstance(gen, af.CoorientRev):
-            specs.append(LayerSpec("coorient_rev", (), pos))
-        elif isinstance(gen, af.CupX):
-            specs.append(LayerSpec("cup_x", (gen.a, "+" if gen.plus_on_left else "-"), pos))
-        elif isinstance(gen, af.CapX):
-            specs.append(LayerSpec("cap_x", (), pos))
-        elif isinstance(gen, af.CupY):
-            specs.append(LayerSpec("cup_y", (gen.c, "+" if gen.plus_on_left else "-"), pos))
-        elif isinstance(gen, af.CapY):
-            specs.append(LayerSpec("cap_y", (), pos))
-        elif isinstance(gen, af.Dot):
-            specs.append(LayerSpec("dot", (), pos, gen.payload))
-        else:  # pragma: no cover
-            raise TypeError(f"cannot unparse {gen!r}")
+        layer, kinds = _AFFINE_NAMES[type(gen)]
+        values = vars(gen)  # the fields in order; a dot's payload is its only one
+        args = tuple(("+" if v else "-") if k == SIGN else v for k, v in zip(kinds, values.values()))
+        specs.append(LayerSpec(layer, args, pos, values.get("payload")))
     return DiagramDecl(name, src_name, tgt_name, tuple(specs), d.mode)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from ..mirror import mirrored, signed_pairs
 from .cohomology import Cocycle1, Cocycle2, is_normalized
 from .groups import GModule, Group, UElt
 
@@ -56,6 +57,8 @@ def _R(g: int) -> GPt:
 
 
 # -- generators -------------------------------------------------------------
+# Splits, caps and second-kind splits are the mirrors of merges, cups and
+# second-kind merges: the same fields, domain and codomain swapped.
 
 
 @dataclass(frozen=True)
@@ -72,18 +75,7 @@ class VMergeL:
         return (_L(G.mul(self.s, self.t)),)
 
 
-@dataclass(frozen=True)
-class VSplitL:
-    """[st L] -> [s L, t L]."""
-
-    s: int
-    t: int
-
-    def dom(self, G: Group) -> GObj:
-        return (_L(G.mul(self.s, self.t)),)
-
-    def cod(self, G: Group) -> GObj:
-        return (_L(self.s), _L(self.t))
+VSplitL = mirrored(VMergeL, "VSplitL", "[st L] -> [s L, t L].")
 
 
 @dataclass(frozen=True)
@@ -100,18 +92,7 @@ class VMergeR:
         return (_R(G.mul(self.t, self.s)),)
 
 
-@dataclass(frozen=True)
-class VSplitR:
-    """[ts R] -> [s R, t R]."""
-
-    s: int
-    t: int
-
-    def dom(self, G: Group) -> GObj:
-        return (_R(G.mul(self.t, self.s)),)
-
-    def cod(self, G: Group) -> GObj:
-        return (_R(self.s), _R(self.t))
+VSplitR = mirrored(VMergeR, "VSplitR", "[ts R] -> [s R, t R].")
 
 
 @dataclass(frozen=True)
@@ -154,30 +135,8 @@ class GCupRL:
         return (_R(self.g), _L(self.g))
 
 
-@dataclass(frozen=True)
-class GCapLR:
-    """Closing arc over [g L, g R] (apex co-oriented up)."""
-
-    g: int
-
-    def dom(self, G: Group) -> GObj:
-        return (_L(self.g), _R(self.g))
-
-    def cod(self, G: Group) -> GObj:
-        return ()
-
-
-@dataclass(frozen=True)
-class GCapRL:
-    """Closing arc over [g R, g L] (apex co-oriented down)."""
-
-    g: int
-
-    def dom(self, G: Group) -> GObj:
-        return (_R(self.g), _L(self.g))
-
-    def cod(self, G: Group) -> GObj:
-        return ()
+GCapLR = mirrored(GCupLR, "GCapLR", "Closing arc over [g L, g R] (apex co-oriented up).")
+GCapRL = mirrored(GCupRL, "GCapRL", "Closing arc over [g R, g L] (apex co-oriented down).")
 
 
 @dataclass(frozen=True)
@@ -196,21 +155,10 @@ class GDot:
 # Vertices of the second kind, as macros over a flip plus a first-kind vertex.
 
 
-@dataclass(frozen=True)
-class T2SplitLL:
-    """[(st)^-1 R] -> [s L, t L]; expands to a flip then a left split."""
-
-    s: int
-    t: int
-
-    def dom(self, G: Group) -> GObj:
-        return (_R(G.inv(G.mul(self.s, self.t))),)
-
-    def cod(self, G: Group) -> GObj:
-        return (_L(self.s), _L(self.t))
-
-    def expand(self, G: Group, pos: int):
-        return ((GFlip(G.inv(G.mul(self.s, self.t)), False), pos), (VSplitL(self.s, self.t), pos))
+def _split_expand(self, G: Group, pos: int):
+    """The reflection of the mirror merge's expansion: a flip then a split."""
+    (merge, _), (flip, _) = self.mirror(**vars(self)).expand(G, pos)
+    return ((GFlip(G.inv(flip.g), not flip.from_left), pos), (merge.mirror(**vars(merge)), pos))
 
 
 @dataclass(frozen=True)
@@ -231,23 +179,6 @@ class T2MergeRR:
 
 
 @dataclass(frozen=True)
-class T2SplitRR:
-    """[(ts)^-1 L] -> [s R, t R]; expands to a flip then a right split."""
-
-    s: int
-    t: int
-
-    def dom(self, G: Group) -> GObj:
-        return (_L(G.inv(G.mul(self.t, self.s))),)
-
-    def cod(self, G: Group) -> GObj:
-        return (_R(self.s), _R(self.t))
-
-    def expand(self, G: Group, pos: int):
-        return ((GFlip(G.inv(G.mul(self.t, self.s)), True), pos), (VSplitR(self.s, self.t), pos))
-
-
-@dataclass(frozen=True)
 class T2MergeLL:
     """[s L, t L] -> [(st)^-1 R]; expands to a left merge then a flip."""
 
@@ -262,6 +193,16 @@ class T2MergeLL:
 
     def expand(self, G: Group, pos: int):
         return ((VMergeL(self.s, self.t), pos), (GFlip(G.mul(self.s, self.t), True), pos))
+
+
+T2SplitLL = mirrored(
+    T2MergeLL, "T2SplitLL", "[(st)^-1 R] -> [s L, t L]; expands to a flip then a left split.",
+    expand=_split_expand,
+)
+T2SplitRR = mirrored(
+    T2MergeRR, "T2SplitRR", "[(ts)^-1 L] -> [s R, t R]; expands to a flip then a right split.",
+    expand=_split_expand,
+)
 
 
 GGenerator = Union[
@@ -347,10 +288,6 @@ def is_closed(d: GDiagram) -> bool:
     return not d.source and not validate_gdiagram(d)
 
 
-def has_dots(d: GDiagram) -> bool:
-    return any(isinstance(gen, GDot) for gen, _ in d.layers)
-
-
 # -- evaluations ------------------------------------------------------------
 
 
@@ -376,34 +313,27 @@ def _alpha_f_layer(G: Group, f: Cocycle1, obj: GObj, gen: GGenerator, pos: int) 
     return None
 
 
+# Sign of each vertex's and extremum's two-cocycle term; a split or cap takes
+# the opposite sign of its merge or cup.
+_C_SIGNS = signed_pairs({VMergeL: 1, VMergeR: 1, GCupLR: -1, GCupRL: -1})
+
+
 def _alpha_c_layer(G: Group, c: Cocycle2, obj: GObj, gen: GGenerator, pos: int) -> UElt | None:
     """Twist contribution of one expanded layer under a two-cocycle."""
-    U = c.module
-    if isinstance(gen, VMergeL):
-        w = winding_of(G, obj, pos)
-        return U.act(w, c(gen.s, gen.t))
-    if isinstance(gen, VSplitL):
-        w = winding_of(G, obj, pos)
-        return U.neg(U.act(w, c(gen.s, gen.t)))
-    if isinstance(gen, VMergeR):
-        w = winding_of(G, obj, pos)
-        return U.act(w, c(G.inv(gen.s), G.inv(gen.t)))
-    if isinstance(gen, VSplitR):
-        w = winding_of(G, obj, pos)
-        return U.neg(U.act(w, c(G.inv(gen.s), G.inv(gen.t))))
-    if isinstance(gen, GCapLR):
-        w = winding_of(G, obj, pos)
-        return U.act(w, c(gen.g, G.inv(gen.g)))
-    if isinstance(gen, GCapRL):
-        w = G.mul(winding_of(G, obj, pos), G.inv(gen.g))
-        return U.act(w, c(gen.g, G.inv(gen.g)))
-    if isinstance(gen, GCupLR):
-        w = winding_of(G, obj, pos)
-        return U.neg(U.act(w, c(gen.g, G.inv(gen.g))))
-    if isinstance(gen, GCupRL):
-        w = G.mul(winding_of(G, obj, pos), G.inv(gen.g))
-        return U.neg(U.act(w, c(gen.g, G.inv(gen.g))))
-    return None
+    sign = _C_SIGNS.get(type(gen))
+    if sign is None:
+        return None
+    w = winding_of(G, obj, pos)
+    if isinstance(gen, (VMergeL, VSplitL)):
+        value = c(gen.s, gen.t)
+    elif isinstance(gen, (VMergeR, VSplitR)):
+        value = c(G.inv(gen.s), G.inv(gen.t))
+    else:  # an extremum; an R-then-L arc's reference gap lies between its legs
+        value = c(gen.g, G.inv(gen.g))
+        if isinstance(gen, (GCupRL, GCapRL)):
+            w = G.mul(w, G.inv(gen.g))
+    piece = c.module.act(w, value)
+    return piece if sign > 0 else c.module.neg(piece)
 
 
 def _evaluate(d: GDiagram, U: GModule, terms) -> UElt:

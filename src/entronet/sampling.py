@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from . import affine as af
+from . import dsl
 from .groupnet.cohomology import Cocycle2, coboundary2
 from .groupnet.diagrams import (
     GCapLR,
@@ -34,39 +35,6 @@ from .groupnet.groups import GModule, Group
 from .jspace import EntropyScalar, PrimeVector, symbol
 
 DEFAULT_SEED = 20240801
-
-_AFFINE_LAYER_NAMES = (
-    "add_merge",
-    "add_split",
-    "add_merge_dual",
-    "add_split_dual",
-    "add_cross",
-    "xy_cross",
-    "mult_merge",
-    "mult_split",
-    "mult_merge_dual",
-    "mult_split_dual",
-    "coorient_rev",
-    "cup_x",
-    "cap_x",
-    "cup_y",
-    "cap_y",
-)
-
-_GLAYER_NAMES = (
-    "merge_l",
-    "merge_r",
-    "split_l",
-    "split_r",
-    "flip",
-    "cup_lr",
-    "cup_rl",
-    "cap",
-    "t2_merge_ll",
-    "t2_merge_rr",
-    "t2_split_ll",
-    "t2_split_rr",
-)
 
 
 def seeded_rng(offset: int = 0) -> random.Random:
@@ -223,10 +191,6 @@ def random_normalized_cocycle(rng: random.Random, module: GModule) -> Cocycle2:
     return coboundary2(module, b)
 
 
-def _random_gpoint(rng: random.Random, group: Group) -> GPt:
-    return GPt(rng.randrange(group.order), rng.random() < 0.5)
-
-
 def random_closed_gdiagram(
     rng: random.Random,
     group: Group,
@@ -312,28 +276,26 @@ def random_closed_gdiagram(
 # Random syntax trees (round-trip testing).
 
 
-def _random_layer_spec(rng: random.Random, mode: str):
-    from . import dsl
+# Written arguments of each kind in the DSL layer tables.
+_ARG_DRAWS = {
+    dsl.RATIONAL: lambda rng: (random_rational(rng, 9),),
+    dsl.NONZERO: lambda rng: (random_rational(rng, 9, nonzero=True),),
+    dsl.SIGN: lambda rng: (rng.choice("+-"),),
+    dsl.ELEMENT: lambda rng: (rng.randint(0, 7),),
+    dsl.ENTRIES: lambda rng: tuple(rng.randint(0, 7) for _ in range(rng.randint(1, 2))),
+}
 
-    name = rng.choice(_AFFINE_LAYER_NAMES + ("dot",))
-    args: tuple = ()
-    payload = None
-    if name in ("add_split", "add_split_dual"):
-        args = (random_rational(rng, 9), random_rational(rng, 9))
-    elif name in ("mult_split", "mult_split_dual"):
-        args = (random_rational(rng, 9, nonzero=True), random_rational(rng, 9, nonzero=True))
-    elif name == "cup_x":
-        args = (random_rational(rng, 9), rng.choice("+-"))
-    elif name == "cup_y":
-        args = (random_rational(rng, 9, nonzero=True), rng.choice("+-"))
-    elif name == "dot":
-        payload = random_dot_payload(rng, mode)
+
+def _random_layer_spec(rng: random.Random, table: dict, mode: str):
+    """A layer of a random name from the table, its arguments drawn by kind."""
+    name = rng.choice(tuple(table))
+    rule = table[name]
+    args = tuple(a for kind in rule.args for a in _ARG_DRAWS[kind](rng))
+    payload = random_dot_payload(rng, mode) if rule.build is af.Dot else None
     return dsl.LayerSpec(name, args, rng.randint(0, 9), payload)
 
 
 def _random_gpoints(rng: random.Random, max_order: int):
-    from . import dsl
-
     return tuple(
         dsl.GPointSpec(rng.randrange(max_order), rng.random() < 0.5)
         for _ in range(rng.randint(0, 4))
@@ -342,8 +304,6 @@ def _random_gpoints(rng: random.Random, max_order: int):
 
 def random_source(rng: random.Random):
     """A random well-formed syntax tree (not necessarily resolvable)."""
-    from . import dsl
-
     decls = []
     mode = af.MODE_J
     n = rng.randint(1, 7)
@@ -359,7 +319,9 @@ def random_source(rng: random.Random):
             decls.append(dsl.ObjectDecl(name, tuple(points)))
         elif kind == "diagram":
             mode = rng.choice(af.MODES)
-            layers = tuple(_random_layer_spec(rng, mode) for _ in range(rng.randint(0, 6)))
+            layers = tuple(
+                _random_layer_spec(rng, dsl.AFFINE_LAYERS, mode) for _ in range(rng.randint(0, 6))
+            )
             decls.append(dsl.DiagramDecl(name, f"s{k}", f"t{k}", layers, mode))
         elif kind == "group":
             ctor = rng.choice(("cyclic", "aff1modp", "table", "product"))
@@ -404,21 +366,12 @@ def random_source(rng: random.Random):
                     dedup.append((key, u))
             decls.append(dsl.CocycleDecl(degree, name, f"g{k}", f"u{k}", tuple(dedup)))
         else:
-            layers = []
-            for _ in range(rng.randint(0, 5)):
-                lname = rng.choice(_GLAYER_NAMES + ("dot",))
-                if lname in ("split_l", "split_r", "t2_split_ll", "t2_split_rr"):
-                    largs: tuple = (rng.randint(0, 7), rng.randint(0, 7))
-                elif lname in ("cup_lr", "cup_rl"):
-                    largs = (rng.randint(0, 7),)
-                elif lname == "dot":
-                    largs = tuple(rng.randint(0, 7) for _ in range(rng.randint(1, 2)))
-                else:
-                    largs = ()
-                layers.append(dsl.LayerSpec(lname, largs, rng.randint(0, 9), None))
+            layers = tuple(
+                _random_layer_spec(rng, dsl.GROUP_LAYERS, mode) for _ in range(rng.randint(0, 5))
+            )
             decls.append(
                 dsl.GDiagramDecl(
-                    name, f"g{k}", _random_gpoints(rng, 8), _random_gpoints(rng, 8), tuple(layers)
+                    name, f"g{k}", _random_gpoints(rng, 8), _random_gpoints(rng, 8), layers
                 )
             )
     return dsl.SourceFile(tuple(decls), mode)

@@ -332,3 +332,34 @@ def test_h_mode_dot_payload_checked():
     d = af.Diagram((), ((af.Dot(PrimeVector({2: F(1)})), 0),), af.MODE_H)
     with pytest.raises(af.KindMismatch):
         af.j_invariant(d)
+
+
+# -- reflection ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "merge, split, args",
+    [
+        (af.AddMerge, af.AddSplit, (F(2), F(3))),
+        (af.AddMergeDual, af.AddSplitDual, (F(2), F(3))),
+        (af.MultMerge, af.MultSplit, (F(2), F(3))),
+        (af.MultMergeDual, af.MultSplitDual, (F(2), F(3))),
+        (af.CupX, af.CapX, (F(2), False)),
+        (af.CupY, af.CapY, (F(2), True)),
+    ],
+)
+def test_mirror_pairs(merge, split, args):
+    assert merge.mirror is split and split.mirror is merge and not issubclass(split, merge)
+    m, s = merge(*args), split(*args)
+    assert (s.dom(), s.cod()) == (m.cod(), m.dom())
+    assert repr(s) == repr(m).replace(merge.__name__, split.__name__, 1)
+
+
+def test_inverse_cancels():
+    """A diagram followed by its reflection evaluates like the identity."""
+    rng = seeded_rng(77)
+    for _ in range(200):
+        d = random_diagram(rng, max_strands=8, max_layers=12)
+        inv = af.inverse(d)
+        assert af.validate(inv) == d.source
+        assert af.j_invariant(af.compose(d, inv)) == PrimeVector()

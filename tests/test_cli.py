@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entronet import cli, dsl
+from entronet.sampling import random_source
 
 FIXTURES = os.path.join(os.path.dirname(dsl.__file__), "fixtures")
 
@@ -85,6 +91,12 @@ def test_validate_and_exit_codes(capsys, tmp_path):
         ("group G = cyclic(3)\ngdiagram N over G : [1 L] -> [2 L, 2 L] { split_l(-1, 2) @0; }\n", "2:43"),
         ("group G = cyclic(3)\ngdiagram N over G : [] -> [] { cup_rl(3) @0; cap @0; }\n", "2:32"),
         ("group G = cyclic(3)\ngdiagram N over G : [0 R] -> [] { t2_split_rr(1, 5) @0; }\n", "2:35"),
+        ("group G = cyclic(3)\ngdiagram N over G : [] -> [] { cup_lr(1, 7, 9) @0; cap @0; }\n", "2:32"),
+        ("group G = cyclic(3)\ngdiagram N over G : [1 L, 2 L] -> [0 L] { merge_l(1) @0; }\n", "2:43"),
+        ("group G = cyclic(3)\ngdiagram N over G : [] -> [] { cup_lr(1) @0; cap(0) @0; }\n", "2:46"),
+        ("group G = cyclic(2000)\n", "1:1"),
+        ("group G = aff1modp(17)\n", "1:1"),
+        ("group A = cyclic(14)\ngroup B = cyclic(14)\ngroup G = product(A, B)\n", "3:1"),
     ],
 )
 def test_invalid_group_declarations(capsys, tmp_path, text, where):
@@ -94,6 +106,70 @@ def test_invalid_group_declarations(capsys, tmp_path, text, where):
     assert code == cli.EXIT_VALIDATION
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert f"group.net:{where}:" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "objects, layer",
+    [
+        ("object S = X+(1) X+(2)\nobject T = X+(3)\n", "add_merge(7, 9) @0"),
+        ("object S =\nobject T =\n", "dot(5) @0 {2: 1}"),
+        ("object S = X+(3)\nobject T = X+(1) X+(2)\n", "add_split(+, 2) @0"),
+        ("object S = X+(3)\nobject T = X+(1) X+(2)\n", "add_split(1, 2, 3) @0"),
+        ("object S =\nobject T = X-(1) X+(1)\n", "cup_x(1, 7) @0"),
+        ("object S =\nobject T = Y-(1) Y+(1)\n", "cup_y(0, -) @0"),
+        ("object S = Y+(6)\nobject T = Y+(2) Y+(3)\n", "mult_split(2, -) @0"),
+    ],
+)
+def test_invalid_layer_arguments(capsys, tmp_path, objects, layer):
+    path = tmp_path / "layers.net"
+    path.write_text(objects + "diagram D : S -> T {\n  " + layer + ";\n}\n")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == cli.EXIT_VALIDATION
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "layers.net:4:3:" in err and out == ""
+
+
+def test_json_after_the_subcommand(capsys):
+    dist = ("entropy", "--dist", "1/2,1/2")
+    for argv in (dist + ("--json",), ("--json",) + dist):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["exact"] == "log(2)"
+    code, out, _ = run(capsys, "validate", fx("affine_mult.net"), "--json")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+# Byte-level edits of a random source: (operation, offset, byte).
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("insert", "delete", "replace")),
+        st.integers(0, 1 << 16),
+        st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789()[]{}@;:,+-/ LRXY")),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), edits=_EDITS)
+def test_validate_exit_codes_fuzz(tmp_path_factory, seed, edits):
+    data = bytearray(dsl.print_source(random_source(random.Random(seed))).encode())
+    for op, at, byte in edits:
+        at %= len(data) + 1
+        if op == "insert":
+            data[at:at] = bytes([byte])
+        elif at < len(data):
+            data[at : at + 1] = b"" if op == "delete" else bytes([byte])
+    path = tmp_path_factory.getbasetemp() / "fuzz.net"
+    path.write_bytes(bytes(data))
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", str(path)])
+    assert time.perf_counter() - start < 2.0
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_VALIDATION, cli.EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    if code != cli.EXIT_OK:
+        assert len(err.getvalue().strip().splitlines()) == 1 and out.getvalue() == ""
 
 
 def test_weight_command(capsys):

@@ -116,6 +116,25 @@ def test_type_two_expansion_boundaries():
                 assert validate_gdiagram(expanded) == validate_gdiagram(d) == gen.cod(G)
 
 
+@pytest.mark.parametrize(
+    "merge, split, args",
+    [
+        (VMergeL, VSplitL, (1, 2)),
+        (VMergeR, VSplitR, (1, 2)),
+        (GCupLR, GCapLR, (1,)),
+        (GCupRL, GCapRL, (1,)),
+        (T2MergeLL, T2SplitLL, (1, 2)),
+        (T2MergeRR, T2SplitRR, (1, 2)),
+    ],
+)
+def test_mirror_pairs(merge, split, args):
+    G = Group.aff1_mod_p(3)
+    assert merge.mirror is split and split.mirror is merge and not issubclass(split, merge)
+    m, s = merge(*args), split(*args)
+    assert (s.dom(G), s.cod(G)) == (m.cod(G), m.dom(G))
+    assert repr(s) == repr(m).replace(merge.__name__, split.__name__, 1)
+
+
 # -- plain evaluation ----------------------------------------------------------
 
 

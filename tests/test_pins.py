@@ -1,8 +1,9 @@
 """Pinned hashes of the seeded streams and of what is computed from them.
 
 A refactor that keeps behaviour keeps every hash below: the sampled affine
-diagrams, their exact values, the SVG text of both diagram kinds and the four
-group-network evaluations.  The seeds are the defaults (ENTRONET_SEED unset).
+diagrams, their exact values, the SVG text of both diagram kinds, the four
+group-network evaluations, the random `.net` sources, the rewrite sites and
+the printed normal forms.  The seeds are the defaults (ENTRONET_SEED unset).
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import hashlib
 import pytest
 
 from entronet import affine as af
-from entronet import render
+from entronet import dsl, render, rewrite
 from entronet.groupnet.catalog import carry
 from entronet.groupnet.cohomology import Cocycle1, coboundary1, coboundary2, verify_cocycle1
 from entronet.groupnet.diagrams import (
@@ -21,7 +22,13 @@ from entronet.groupnet.diagrams import (
     eval_alpha_u,
 )
 from entronet.groupnet.groups import GModule, Group
-from entronet.sampling import random_closed_gdiagram, random_diagram, seeded_rng
+from entronet.sampling import (
+    random_closed_gdiagram,
+    random_diagram,
+    random_rule_site,
+    random_source,
+    seeded_rng,
+)
 
 
 def _sha(items) -> str:
@@ -122,6 +129,44 @@ def test_network_evaluations():
     assert _alpha_hash() == PINS["alpha"]
 
 
+def _seeded(offset):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ENTRONET_SEED", raising=False)
+        return seeded_rng(offset)
+
+
+def test_random_sources():
+    rng = _seeded(51)
+    assert _sha(dsl.print_source(random_source(rng)) for _ in range(200)) == PINS["sources"]
+
+
+def test_rule_sites():
+    rng = _seeded(52)
+    sites = [random_rule_site(rng, name) for name in rewrite.RULES for _ in range(10)]
+    assert _sha(sites) == PINS["rule_sites"]
+
+
+def test_printed_normal_forms(draws):
+    texts = []
+    for d in draws[0][:100]:
+        decl = dsl.diagram_to_decl("D", "S", "T", rewrite.normalize(d))
+        texts.append(dsl.print_source(dsl.SourceFile((decl,), d.mode)))
+    assert _sha(texts) == PINS["normal_forms"]
+
+
+def test_layer_name_order():
+    """random_source draws names from the layer tables in this order."""
+    assert tuple(dsl.AFFINE_LAYERS) == (
+        "add_merge", "add_split", "add_merge_dual", "add_split_dual", "add_cross",
+        "xy_cross", "mult_merge", "mult_split", "mult_merge_dual", "mult_split_dual",
+        "coorient_rev", "cup_x", "cap_x", "cup_y", "cap_y", "dot",
+    )
+    assert tuple(dsl.GROUP_LAYERS) == (
+        "merge_l", "merge_r", "split_l", "split_r", "flip", "cup_lr", "cup_rl", "cap",
+        "t2_merge_ll", "t2_merge_rr", "t2_split_ll", "t2_split_rr", "dot",
+    )
+
+
 PINS = {
     "affine_j": "f33cf3c27e898a3b",
     "affine_h": "c9d00caf6c45ff82",
@@ -132,4 +177,7 @@ PINS = {
     "svg_affine": "638b1af6b9495077",
     "svg_networks": "388ca6cbd7ea9c97",
     "alpha": "e857f2644b7b7679",
+    "sources": "a42b538d439af95b",
+    "rule_sites": "0b62e1354f2f1323",
+    "normal_forms": "fef25aad1bfbe447",
 }
