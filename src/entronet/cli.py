@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 parse error,
-3 validation error, 4 usage error.  Results go to stdout, diagnostics to
-stderr; `--json` switches results to one JSON object.
+3 validation error, 4 usage error (an input past a size bound or the
+factoring budget included).  Results go to stdout, diagnostics to stderr;
+`--json` switches results to one JSON object.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .groupnet.diagrams import (
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
 from .jspace import EntropyScalar, render_float
-from .scalars import parse_rational
+from .scalars import FactoringBudgetExceeded, parse_rational
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -251,6 +252,8 @@ def cmd_extension(args) -> int:
     c = _need(resolved.cocycles2, args.cocycle, "cocycle2")
     try:
         T = central_extension(c)
+    except SizeBoundExceeded as exc:
+        raise CliError(f"extension too large: {exc}", EXIT_USAGE)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_VALIDATION)
     profile = T.order_profile()
@@ -483,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except af.DiagramError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
+    except FactoringBudgetExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

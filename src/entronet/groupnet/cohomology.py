@@ -183,13 +183,16 @@ def central_extension(c: Cocycle2) -> Group:
     Element (u, s) is index(u) * |G| + s, and (u1, s1)(u2, s2) is
     (u1 + s1 u2 + c(s1, s2), s1 s2).  U is enumerated once; the table is
     filled by lookups in three index tables: addition on U, the action of
-    G on U and the values of c.
+    G on U and the values of c.  An extension of order |G|*|U| past 182, the
+    largest order a `.net` group may have, raises SizeBoundExceeded before
+    anything is built.
     """
+    U, G = c.module, c.module.group
+    check_system_size(G.order * math.prod(U.moduli), 1, 1)
     if not is_normalized(c):
         raise ValueError("extension needs a normalized cocycle")
     if not verify_cocycle2(c):
         raise ValueError("not a 2-cocycle")
-    U, G = c.module, c.module.group
     u_elems = list(U.elements())
     u_index = {u: i for i, u in enumerate(u_elems)}
     n = G.order

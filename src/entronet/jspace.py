@@ -8,6 +8,13 @@ vector equality decides symbol equality exactly.  Entropy values are carried
 exactly as a rational constant plus a rational combination of log p; the
 log p are linearly independent over Q, so componentwise equality is the
 equality of the corresponding real numbers (documented, classical).
+
+`symbol` factors only what survives: it writes the six numerators and
+denominators over a pairwise coprime base, sums the integer coefficient of
+each base element, and factors just the elements whose coefficient is
+nonzero.  <N,N> = -2N log 2 never factors N.  A surviving element that does
+not factor within the Pollard-Brent budget raises
+`scalars.FactoringBudgetExceeded`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import NonzeroExpected, factor, format_rational
+from .scalars import NonzeroExpected, coprime_base, factor, factor_int, format_rational
 
 Rational = Fraction
 
@@ -35,6 +42,13 @@ class PrimeVector:
                 if c:
                     clean[p] = c
         self._coeffs = clean
+
+    @classmethod
+    def _of(cls, clean: dict[int, Fraction]) -> "PrimeVector":
+        """The vector over a dict of nonzero Fractions, taken as it is."""
+        v = cls.__new__(cls)
+        v._coeffs = clean
+        return v
 
     @classmethod
     def zero(cls) -> "PrimeVector":
@@ -55,20 +69,25 @@ class PrimeVector:
     def __add__(self, other: "PrimeVector") -> "PrimeVector":
         out = dict(self._coeffs)
         for p, c in other._coeffs.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return PrimeVector(out)
+            if p in out:
+                c += out[p]
+                if not c:
+                    del out[p]
+                    continue
+            out[p] = c
+        return PrimeVector._of(out)
 
     def __sub__(self, other: "PrimeVector") -> "PrimeVector":
         return self + (-other)
 
     def __neg__(self) -> "PrimeVector":
-        return PrimeVector({p: -c for p, c in self._coeffs.items()})
+        return PrimeVector._of({p: -c for p, c in self._coeffs.items()})
 
     def scaled(self, c: Fraction) -> "PrimeVector":
         c = Fraction(c)
         if not c:
             return PrimeVector()
-        return PrimeVector({p: c * v for p, v in self._coeffs.items()})
+        return PrimeVector._of({p: c * v for p, v in self._coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeVector):
@@ -104,18 +123,31 @@ def tensor_vector(a: Fraction, q: Fraction) -> PrimeVector:
 def symbol(a: Fraction, b: Fraction) -> PrimeVector:
     """The symbol <a,b> in normal form; a, b, a+b may each be zero."""
     a, b = Fraction(a), Fraction(b)
+    # Over D, a*v(a) + b*v(b) - (a+b)*v(a+b) is (1/D) * sum of w * v(n) over
+    # the integer weights w = A, -A, B, -B, -C, C of the numerators and
+    # denominators n of a, b and a+b = C/D.
+    D = math.lcm(a.denominator, b.denominator)
+    A = a.numerator * (D // a.denominator)
+    B = b.numerator * (D // b.denominator)
+    C = A + B
+    g = math.gcd(C, D)
+    terms = []
+    for w, num, den in ((A, a.numerator, a.denominator), (B, b.numerator, b.denominator),
+                        (-C, C // g, D // g)):
+        if w:
+            terms += ((abs(num), w), (den, -w))
     out: dict[int, Fraction] = {}
-
-    def accumulate(coeff: Fraction, value: Fraction) -> None:
-        if value == 0 or coeff == 0:
-            return
-        for p, e in factor(value).exponents:
-            out[p] = out.get(p, Fraction(0)) + coeff * e
-
-    accumulate(a, a)
-    accumulate(b, b)
-    accumulate(-(a + b), a + b)
-    return PrimeVector(out)
+    for e in coprime_base(n for n, _ in terms):
+        c = 0
+        for n, w in terms:
+            while n % e == 0:
+                n //= e
+                c += w
+        if c:
+            # base elements are coprime, so each prime comes from one of them
+            for p, k in factor_int(e):
+                out[p] = Fraction(c * k, D)
+    return PrimeVector._of(out)
 
 
 def scale(c: Fraction, v: PrimeVector) -> PrimeVector:

@@ -1,12 +1,24 @@
-"""Exact rational scalars: certified factorization and p-adic valuations.
+"""Exact rational scalars: factorization, coprime bases and p-adic valuations.
 
 Rationals are plain :class:`fractions.Fraction` values (always in lowest
 terms, positive denominator, arbitrary precision).  This module supplies the
 multiplicative bookkeeping the rest of the package needs: a nonzero rational
-decomposed into a sign and finitely many prime exponents, plus p-adic
-valuations.  Factoring is trial division over a sieved prime table up to
-10**6 with a Pollard-rho fallback; every reported prime is certified by a
-deterministic Miller-Rabin check.
+decomposed into a sign and finitely many prime exponents, a pairwise coprime
+base for a few integers, and p-adic valuations.
+
+Factoring an integer takes three stages:
+
+* trial division by the 564 primes below TRIAL_DIVISION_BOUND = 2**12; a
+  cofactor below the bound squared is then prime;
+* `is_prime` on the cofactor: Miller-Rabin with the thirteen prime witnesses
+  2 ... 41, proven correct below 3317044064679887385961981, the smallest
+  strong pseudoprime to all of them; from there on strong Baillie-PSW
+  (Miller-Rabin to base 2 and a strong Lucas test), which has no known
+  counterexample but no proof either;
+* Pollard-Brent on composites only, within POLLARD_BRENT_STEPS steps of the
+  map y -> y^2 + c, which finds most prime factors up to about 2**40 (see
+  the constant).  Past the budget FactoringBudgetExceeded is raised, which
+  the command line reports as a usage error (exit 4).
 """
 
 from __future__ import annotations
@@ -14,14 +26,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, isqrt
+from typing import Iterable
 
 Rational = Fraction
 
-TRIAL_DIVISION_BOUND = 10**6
+TRIAL_DIVISION_BOUND = 2**12
 
-# Deterministic Miller-Rabin witness set, valid for n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Iterations of the Pollard-Brent map allowed per composite below 2**128.
+# The steps needed grow with sqrt(p) for the prime factor p found; with the
+# budget scaled to match (400 primes each near 2**24, 2**26 and 2**28 under a
+# budget of 2**15), it finds all factors near 2**36, 97 % near 2**38 and 71 %
+# near 2**40.  A step on an n of 128*(L-1) to 128*L bits counts about L**1.5
+# times, roughly what its two multiplications cost, so that the budget bounds
+# the time and not only the steps: at most about 1 s per composite of any
+# length on a 2-vCPU x86 host.
+POLLARD_BRENT_STEPS = 2**21
+
+# Miller-Rabin witnesses, deterministic below _PSI_13: the smallest strong
+# pseudoprime to every one of them (psi_13; psi_12 = 318665857834031151167461
+# fools 2 ... 37).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 
 class NonzeroExpected(ValueError):
@@ -30,6 +57,10 @@ class NonzeroExpected(ValueError):
 
 class NotPrime(ValueError):
     """Raised when a valuation is requested at a composite or unit base."""
+
+
+class FactoringBudgetExceeded(ValueError):
+    """Raised when Pollard-Brent splits no factor off within its step budget."""
 
 
 @lru_cache(maxsize=1)
@@ -44,86 +75,168 @@ def prime_table() -> tuple[int, ...]:
     return tuple(i for i in range(bound) if sieve[i])
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a, for odd n > a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n larger than
+    every D it tries."""
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4  # P = 1
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k and Q**k for k = the leading bits of d = (n + 1) >> s
+    U, V, Qk = 1, 1, Q
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
+    """Primality: proven below _PSI_13, strong Baillie-PSW from there on."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _PSI_13:
+        return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def _pollard_brent(n: int) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
+    """A nontrivial factor of a composite n without prime factors below
+    TRIAL_DIVISION_BOUND, or FactoringBudgetExceeded.
+
+    Brent's cycle search runs in blocks of at most 2r steps, r = 1, 2, 4, ...;
+    a block starts only if it fits in what is left of the budget.
+    """
+    left = POLLARD_BRENT_STEPS // isqrt((1 + n.bit_length() // 128) ** 3)
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            left -= 2 * r
+            if left < 0:
+                raise FactoringBudgetExceeded(
+                    f"cannot factor a {n.bit_length()}-bit composite: no factor found within "
+                    f"the Pollard-Brent budget"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = gcd(q, n)
-                k += m
+                k += 128
             r *= 2
-        if g == n:
+        if g == n:  # the batch overshot: retrace it one step at a time
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
-    raise ArithmeticError(f"pollard rho failed on {n}")  # pragma: no cover
 
 
-@lru_cache(maxsize=200_000)
+@lru_cache(maxsize=4096)
 def factor_int(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs."""
+    """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
+
+    Raises FactoringBudgetExceeded if a composite cofactor without prime
+    factors below TRIAL_DIVISION_BOUND does not split within the budget.
+    """
     if n < 1:
         raise NonzeroExpected(f"factor_int expects a positive integer, got {n}")
     out: dict[int, int] = {}
-    stack = [n]
+    for p in prime_table():
+        if n % p == 0:
+            e = 1
+            n //= p
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+        if p * p > n:
+            break
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        for p in prime_table():
-            if p * p > m:
-                break
-            while m % p == 0:
-                out[p] = out.get(p, 0) + 1
-                m //= p
-        if m == 1:
-            continue
-        if is_prime(m):
+        if m < TRIAL_DIVISION_BOUND**2 or is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
             d = _pollard_brent(m)
-            stack.append(d)
-            stack.append(m // d)
+            stack += [d, m // d]
     return tuple(sorted(out.items()))
+
+
+def coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 such that every value >= 1 is a product of
+    powers of them (values below 2 contribute nothing).
+
+    Gcd refinement: a value sharing a factor g with an element b of the base
+    so far is replaced, together with b, by g, a // g and b // g, until it is
+    coprime to every element.  Each replacement divides the product of
+    everything pending by g > 1, so the refinement ends.
+    """
+    base: list[int] = []
+    pending = [v for v in values if v > 1]
+    while pending:
+        a = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                pending += [x for x in (g, a // g, b // g) if x > 1]
+                break
+        else:
+            base.append(a)
+    return base
 
 
 @dataclass(frozen=True)
@@ -153,7 +266,7 @@ class Factorization:
 
 
 def factor(q: Fraction | int) -> Factorization:
-    """Certified factorization of a nonzero rational."""
+    """Factorization of a nonzero rational."""
     q = Fraction(q)
     if q == 0:
         raise NonzeroExpected("cannot factor 0")

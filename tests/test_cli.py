@@ -172,6 +172,45 @@ def test_validate_exit_codes_fuzz(tmp_path_factory, seed, edits):
         assert len(err.getvalue().strip().splitlines()) == 1 and out.getvalue() == ""
 
 
+# Tokens of a distribution: rationals of up to 200 bits, and malformed ones.
+_BIG = st.integers(0, 200).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+_TOKEN = st.one_of(
+    _BIG.map(str),
+    st.builds("{}/{}".format, _BIG, _BIG.map(abs)),
+    st.sampled_from(("", " ", "x", "1/", "/2", "1/-2", "1//2", "1/2/3", "--1", "1.5", "1e3", "0x10",
+                     "nan", "\u00bd", "1_0", "+0", "-0/7", "9" * 5000)),
+)
+
+
+def _dist(size=st.integers(0, 4)):
+    return size.flatmap(lambda k: st.lists(_TOKEN, min_size=k, max_size=k)).map(",".join)
+
+
+def _chain_argv(z, ys):
+    return ["chain", f"--z={z}"] + [f"--y={y}" for y in ys]
+
+
+# chain needs one --y per outer weight; the first branch keeps the counts equal
+_FACTORING_ARGV = st.one_of(
+    _dist().map(lambda d: ["entropy", f"--dist={d}"]),
+    st.integers(1, 3).flatmap(lambda k: st.builds(
+        _chain_argv, _dist(st.just(k)), st.lists(_dist(st.integers(1, 3)), min_size=k, max_size=k))),
+    st.builds(_chain_argv, _dist(), st.lists(_dist(), max_size=3)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_FACTORING_ARGV)
+def test_factoring_commands_exit_codes_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < 2.0
+    assert code in (cli.EXIT_OK, cli.EXIT_FAILED, cli.EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+
+
 def test_weight_command(capsys):
     code, out, _ = run(capsys, "weight", fx("affine_mult.net"), "--object", "Z0")
     assert code == 0
@@ -278,6 +317,17 @@ def test_extension_command(capsys):
     assert "order 16" in out and "order-16: 8" in out
 
 
+def test_extension_size_bound(capsys, tmp_path):
+    # an extension of order 3000, past the bound of 182: refused before any table
+    path = tmp_path / "big.net"
+    path.write_text("group G = cyclic(2)\nmodule M over G = z(1500)\ncocycle2 c : G -> M = { }\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "extension", str(path), "--cocycle", "c")
+    assert time.perf_counter() - start < 1.0
+    assert code == cli.EXIT_USAGE and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_catalog_commands(capsys):
     assert run(capsys, "catalog", "carry", "--n", "7")[0] == 0
     assert run(capsys, "catalog", "witt", "--p", "5")[0] == 0
@@ -297,6 +347,9 @@ def test_render_command(capsys, tmp_path):
     ET.parse(out_path)
 
 
+_N = 1152921504606859327 * 309485009821345068724848949
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [
@@ -313,6 +366,8 @@ def test_render_command(capsys, tmp_path):
         (("catalog", "pmi", "--masses", "a=x"), cli.EXIT_USAGE),
         (("catalog", "carry", "--n", "34"), cli.EXIT_USAGE),
         (("catalog", "witt", "--p", "37"), cli.EXIT_USAGE),
+        # N, a 61-bit prime times an 89-bit prime, is past the factoring budget
+        (("entropy", "--dist", f"1/{_N},{_N - 1}/{_N}"), cli.EXIT_USAGE),
     ],
 )
 def test_bad_input_exit_codes(capsys, argv, want):

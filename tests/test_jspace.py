@@ -72,6 +72,84 @@ def test_tensor_identification():
     assert tensor_vector(F(1), F(-1)).is_zero()
 
 
+def _factorizations(a, b, known):
+    """(coefficient, {prime: exponent}) for each nonzero term x of <a,b>: a, b
+    and a+b.  sympy factors each numerator and denominator after the primes
+    in known are divided out."""
+    from sympy import factorint
+
+    def factors(n):
+        out = {}
+        for p in known:
+            while n % p == 0:
+                n //= p
+                out[p] = out.get(p, 0) + 1
+        for p, e in factorint(n).items():
+            out[p] = out.get(p, 0) + e
+        return out
+
+    terms = []
+    for coeff, x in ((a, a), (b, b), (-(a + b), a + b)):
+        if x:
+            num, den = factors(abs(x.numerator)), factors(x.denominator)
+            terms.append((coeff, num))
+            terms.append((-coeff, den))
+    return terms
+
+
+def _random_rational(rng, bits):
+    """A nonzero rational whose numerator and denominator have bits in all."""
+    k = rng.randint(1, bits - 1)
+    return F(rng.choice((1, -1)) * (rng.getrandbits(k) | 1 << (k - 1)),
+             rng.getrandbits(bits - k) | 1 << (bits - k - 1))
+
+
+def test_symbol_matches_sympy():
+    import random
+
+    from sympy import randprime
+
+    from entronet.scalars import FactoringBudgetExceeded
+
+    rng = random.Random(21)
+    for i in range(150):
+        a, b = _random_rational(rng, rng.randint(8, 80)), _random_rational(rng, rng.randint(8, 80))
+        known = ()
+        if i % 3 == 0:
+            # a pair that shares a large factor, prime or not
+            known = (randprime(2**29, 2**40), randprime(2**29, 2**40))[: rng.randint(1, 2)]
+            a, b = a * math.prod(known), b * math.prod(known)
+        terms = _factorizations(a, b, known)
+        try:
+            got = dict(symbol(a, b).items())
+        except FactoringBudgetExceeded:
+            # refused only when some integer has two prime factors past 2**32
+            assert any(sum(e for p, e in f.items() if p > 2**32) >= 2 for _, f in terms), (a, b)
+            continue
+        want = {}
+        for coeff, f in terms:
+            for p, e in f.items():
+                want[p] = want.get(p, 0) + coeff * e
+        assert got == {p: c for p, c in want.items() if c}, (a, b)
+
+
+def test_symbol_factors_only_what_survives():
+    import time
+
+    # a 61-bit prime times an 89-bit prime, which factor_int refuses
+    n = 1152921504606859327 * 309485009821345068724848949
+    start = time.perf_counter()
+    assert dict(symbol(F(n), F(n)).items()) == {2: -2 * n}
+    assert symbol(n * F(3, 7), n * F(-5, 11)) == scale(n, symbol(F(3, 7), F(-5, 11)))
+    assert time.perf_counter() - start < 0.1
+
+
+def test_tensor_vector_of_a_strong_pseudoprime():
+    p, q = 399165290221, 798330580441  # p * q fools Miller-Rabin to bases 2 ... 37
+    assert tensor_vector(F(1), F(p * q)) == tensor_vector(F(1), F(p)) + tensor_vector(F(1), F(q))
+    assert tensor_vector(F(1), F(p * q)) == PrimeVector({p: 1, q: 1})
+
+
 @given(rationals, rationals)
 def test_symbol_symmetry(a, b):
     assert symbol(a, b) == symbol(b, a)

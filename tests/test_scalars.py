@@ -1,12 +1,16 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
 from entronet.scalars import (
+    TRIAL_DIVISION_BOUND,
+    FactoringBudgetExceeded,
     Factorization,
     NonzeroExpected,
     NotPrime,
+    coprime_base,
     factor,
     factor_int,
     is_prime,
@@ -14,6 +18,12 @@ from entronet.scalars import (
     prime_table,
     valuation,
 )
+
+# The smallest strong pseudoprimes to the first 12 and 13 prime bases.
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+# A 61-bit prime times an 89-bit prime: past the Pollard-Brent budget.
+SEMIPRIME = 1152921504606859327 * 309485009821345068724848949
 
 
 def test_factor_examples():
@@ -41,9 +51,95 @@ def test_factor_zero_rejected():
 
 
 def test_prime_table_certified():
+    from sympy import primerange
+
     table = prime_table()
-    assert table[:5] == (2, 3, 5, 7, 11)
-    assert all(is_prime(p) for p in table[:2000])
+    assert len(table) == 564
+    assert table == tuple(primerange(2, TRIAL_DIVISION_BOUND))
+    assert all(is_prime(p) for p in table)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        PSI_12,
+        PSI_13,
+        # composite Mersenne numbers are strong pseudoprimes to base 2, so
+        # past PSI_13 only the Lucas half of Baillie-PSW rejects them
+        2**83 - 1,
+        2**97 - 1,
+        2**101 - 1,
+        2**131 - 1,
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_sympy():
+    import random
+
+    from sympy import isprime
+
+    rng = random.Random(12)
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randint(60, 100)) | 1 | 1 << 59
+        assert is_prime(n) == isprime(n), n
+    for p in (2**89 - 1, 2**107 - 1, 2**127 - 1, 399165290221, 798330580441):
+        assert is_prime(p)
+
+
+def _hard(n):
+    """Whether n has two prime factors, with multiplicity, above 2**32."""
+    from sympy import factorint
+
+    return sum(e for p, e in factorint(n).items() if p > 2**32) >= 2
+
+
+def test_factor_int_matches_sympy():
+    import random
+
+    from sympy import factorint
+
+    rng = random.Random(8)
+    for _ in range(250):
+        n = rng.getrandbits(rng.randint(8, 80)) + 1
+        try:
+            got = dict(factor_int(n))
+        except FactoringBudgetExceeded:
+            assert _hard(n), n
+        else:
+            assert got == factorint(n), n
+
+
+def test_factor_int_budget():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(FactoringBudgetExceeded):
+        factor_int(SEMIPRIME)
+    assert time.perf_counter() - start < 5.0
+    # within the budget: a 33-bit and a 39-bit smallest factor
+    assert factor_int(7602675427 * 79230001811) == ((7602675427, 1), (79230001811, 1))
+    assert factor_int(PSI_12) == ((399165290221, 1), (798330580441, 1))
+
+
+_atoms = st.lists(st.integers(2, 10**15), min_size=1, max_size=4)
+
+
+@given(_atoms, st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), max_size=6),
+       st.lists(st.integers(1, 10**30), max_size=2))
+def test_coprime_base(atoms, exponents, extra):
+    # values that share factors: products of powers of a few atoms, plus any
+    values = [math.prod(a**e for a, e in zip(atoms, row)) for row in exponents] + extra
+    base = coprime_base(values)
+    assert all(b > 1 for b in base)
+    assert all(math.gcd(x, y) == 1 for i, x in enumerate(base) for y in base[i + 1 :])
+    for v in values:
+        for b in base:
+            while v % b == 0:
+                v //= b
+        assert v == 1
 
 
 def test_large_semiprime():
