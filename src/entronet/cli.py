@@ -66,6 +66,14 @@ def _load(path: str) -> dsl.Resolved:
         raise CliError(f"{path}:{exc}", EXIT_VALIDATION)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
+
+
 def _emit(args, lines: list[str], payload: dict) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, default=str))
@@ -183,8 +191,7 @@ def cmd_normalize(args) -> int:
     )
     text = dsl.print_source(dsl.SourceFile((src_decl, tgt_decl, decl), nd.mode))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         _emit(args, [f"wrote {args.output}"], {"wrote": args.output})
     else:
         sys.stdout.write(text)
@@ -316,6 +323,16 @@ def cmd_h2(args) -> int:
     return EXIT_OK
 
 
+def _check_triples(n: int, what: str) -> None:
+    """Refuse a cocycle law over n elements, checked on about n**3 triples,
+    past SYSTEM_SIZE_BOUND."""
+    if n**3 > SYSTEM_SIZE_BOUND:
+        raise SizeBoundExceeded(
+            f"{what} has {n} elements, {n**3} triples to check, over the bound of "
+            f"{SYSTEM_SIZE_BOUND}"
+        )
+
+
 def _catalog_cocycle(args):
     """The named cocycle; ValueError for a parameter it does not accept."""
     if args.which == "carry":
@@ -323,11 +340,14 @@ def _catalog_cocycle(args):
     if args.which == "witt":
         return witt(args.p)
     if args.which == "binomial":
+        _check_triples(args.max + 1, "the binomial range")
         return binomial_cocycle(args.max)
     masses = {}
     for tok in args.masses.split(";"):
         name, _, val = tok.partition("=")
         masses[name.strip()] = parse_rational(val)
+    # before the events, all subsets of the points, are listed
+    _check_triples(2 ** len(masses), "the event space")
     return pmi_cocycle(ProbSpace(masses))
 
 
@@ -370,9 +390,7 @@ def cmd_render(args) -> int:
         d = resolved.gdiagrams[args.diagram]
     else:
         raise CliError(f"no diagram named {args.diagram!r}", EXIT_USAGE)
-    svg = render.to_svg(d)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    _write(args.output, render.to_svg(d))
     _emit(args, [f"wrote {args.output}"], {"wrote": args.output})
     return EXIT_OK
 

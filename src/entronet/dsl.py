@@ -16,7 +16,7 @@ a canonical form and `parse(print(x))` returns an identical syntax tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -926,9 +926,9 @@ def diagram_to_decl(name: str, src_name: str, tgt_name: str, d: af.Diagram) -> D
     specs = []
     for gen, pos in d.layers:
         layer, kinds = _AFFINE_NAMES[type(gen)]
-        values = vars(gen)  # the fields in order; a dot's payload is its only one
-        args = tuple(("+" if v else "-") if k == SIGN else v for k, v in zip(kinds, values.values()))
-        specs.append(LayerSpec(layer, args, pos, values.get("payload")))
+        values = [getattr(gen, f.name) for f in fields(gen)]
+        args = tuple(("+" if v else "-") if k == SIGN else v for k, v in zip(kinds, values))
+        specs.append(LayerSpec(layer, args, pos, getattr(gen, "payload", None)))
     return DiagramDecl(name, src_name, tgt_name, tuple(specs), d.mode)
 
 

@@ -192,11 +192,14 @@ class GModule:
                         raise GroupValidationError("action matrix not well-defined mod moduli")
         if self.action_matrix(0) != self._eye():
             raise GroupValidationError("identity must act trivially")
-        for g in self.group.elements():
-            for h in self.group.elements():
-                gh = self.group.mul(g, h)
+        # act(g s) = act(g) act(s) for every g and every generator s gives the
+        # law for every pair g, h: write h as a word in the generators and
+        # induct on its length.
+        for s in self.group.generators:
+            for g in self.group.elements():
+                gs = self.group.mul(g, s)
                 for u in self._basis():
-                    if self.act(gh, u) != self.act(g, self.act(h, u)):
+                    if self.act(gs, u) != self.act(g, self.act(s, u)):
                         raise GroupValidationError("action is not a homomorphism")
         # Each act(g) is then bijective: the maps are additive, so agreeing on
         # the basis they agree everywhere, and act(g^-1) after act(g) is act(1),

@@ -282,8 +282,9 @@ cross_past_coorient_rev = _window_rule(
 )
 
 
-def _interval(gen, pos: int) -> tuple[int, int]:
-    return pos, pos + len(gen.dom())
+def _arity(gen) -> tuple[int, int]:
+    dom, cod = af.boundary(gen)
+    return len(dom), len(cod)
 
 
 def _exchange_matcher(d: Diagram, at: int) -> bool:
@@ -291,12 +292,8 @@ def _exchange_matcher(d: Diagram, at: int) -> bool:
     if window is None:
         return False
     (g1, p1), (g2, p2) = window
-    lo1, hi1 = _interval(g1, p1)
-    delta = len(g1.cod()) - len(g1.dom())
-    lo2, hi2 = _interval(g2, p2)
-    if lo2 >= hi1 + delta:
-        return True
-    return hi2 <= lo1
+    # g2 lies right of g1's codomain, or wholly left of g1
+    return p2 >= p1 + _arity(g1)[1] or p2 + _arity(g2)[0] <= p1
 
 
 def _exchange_transform(d: Diagram, at: int) -> Diagram:
@@ -304,9 +301,10 @@ def _exchange_transform(d: Diagram, at: int) -> Diagram:
     if window is None or not _exchange_matcher(d, at):
         raise RuleNotApplicable(f"exchange_disjoint does not match at layer {at}")
     (g1, p1), (g2, p2) = window
-    delta1 = len(g1.cod()) - len(g1.dom())
-    delta2 = len(g2.cod()) - len(g2.dom())
-    if p2 >= p1 + len(g1.cod()):
+    n1, m1 = _arity(g1)
+    n2, m2 = _arity(g2)
+    delta1, delta2 = m1 - n1, m2 - n2
+    if p2 >= p1 + m1:
         # g2 acts right of g1: shift it back below, shift g1 not at all
         new = ((g2, p2 - delta1), (g1, p1))
     else:

@@ -2,6 +2,12 @@
 
 Used by the property suite and the self test.  The seed comes from the
 ENTRONET_SEED environment variable when set, so runs are reproducible.
+
+`random_diagram` draws lazily.  At each step it makes the same draws, in the
+same order, as if it built every applicable move: one rational (two integers)
+per split and cup, and the cups' gap and orientations.  It keeps each move as
+a builder and its raw arguments, and builds only the move `rng.choice` picks,
+so a seed gives the same diagrams as eager building would.
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from typing import Callable
 
 from . import affine as af
 from . import dsl
@@ -42,11 +49,16 @@ def seeded_rng(offset: int = 0) -> random.Random:
     return random.Random(seed + offset)
 
 
-def random_rational(rng: random.Random, max_num: int = 30, nonzero: bool = False) -> Fraction:
+def _draw_rational(rng: random.Random, max_num: int, nonzero: bool = False) -> tuple[int, int]:
+    """The numerator and denominator random_rational draws, before any Fraction."""
     while True:
-        q = Fraction(rng.randint(-max_num, max_num), rng.randint(1, max_num))
-        if q or not nonzero:
-            return q
+        n, d = rng.randint(-max_num, max_num), rng.randint(1, max_num)
+        if n != 0 or not nonzero:
+            return n, d
+
+
+def random_rational(rng: random.Random, max_num: int = 30, nonzero: bool = False) -> Fraction:
+    return Fraction(*_draw_rational(rng, max_num, nonzero))
 
 
 def random_distribution(rng: random.Random, n: int, max_num: int = 12) -> list[Fraction]:
@@ -71,54 +83,64 @@ def random_object(rng: random.Random, max_points: int = 5, max_num: int = 9) -> 
     return tuple(pts)
 
 
+def _split(cls, n: int, d: int, w: Fraction) -> af.Generator:
+    a = Fraction(n, d)
+    return cls(a, w - a)
+
+
+def _mult_split(cls, n: int, d: int, w: Fraction) -> af.Generator:
+    c = Fraction(n, d)
+    return cls(c, w / c)
+
+
+def _cup(cls, n: int, d: int, plus_on_left: bool) -> af.Generator:
+    return cls(Fraction(n, d), plus_on_left)
+
+
 def _applicable_generators(
     rng: random.Random, obj: af.Obj, max_num: int
-) -> list[tuple[af.Generator, int, int]]:
+) -> list[tuple[Callable[..., af.Generator], tuple, int, int]]:
     """All single-layer moves applicable to obj (one random parameter choice each),
-    each with its strand growth len(cod) - len(dom)."""
-    out: list[tuple[af.Generator, int, int]] = []
-    r = lambda: random_rational(rng, max_num)
-    rnz = lambda: random_rational(rng, max_num, nonzero=True)
+    each as (build, args, position, growth): build(*args) is the generator and
+    growth is len(cod) - len(dom)."""
+    out: list[tuple[Callable[..., af.Generator], tuple, int, int]] = []
+    K = af.Kind
     for i, pt in enumerate(obj):
-        if pt.kind is af.Kind.XP:
-            a = r()
-            out.append((af.AddSplit(a, pt.weight - a), i, 1))
-        if pt.kind is af.Kind.XM:
-            a = r()
-            out.append((af.AddSplitDual(a, pt.weight - a), i, 1))
-        if pt.kind is af.Kind.YP:
-            c = rnz()
-            out.append((af.MultSplit(c, pt.weight / c), i, 1))
-            out.append((af.CoorientRev(pt.weight, True), i, 0))
-        if pt.kind is af.Kind.YM:
-            c = rnz()
-            out.append((af.MultSplitDual(c, pt.weight / c), i, 1))
-            out.append((af.CoorientRev(pt.weight, False), i, 0))
+        kind, w = pt.kind, pt.weight
+        if kind.additive:
+            split = af.AddSplit if kind is K.XP else af.AddSplitDual
+            n, d = _draw_rational(rng, max_num)
+            out.append((_split, (split, n, d, w), i, 1))
+        else:
+            split = af.MultSplit if kind is K.YP else af.MultSplitDual
+            n, d = _draw_rational(rng, max_num, nonzero=True)
+            out.append((_mult_split, (split, n, d, w), i, 1))
+            out.append((af.CoorientRev, (w, kind is K.YP), i, 0))
     for i in range(len(obj) - 1):
         p, q = obj[i], obj[i + 1]
-        if p.kind is af.Kind.XP and q.kind is af.Kind.XP:
-            out.append((af.AddMerge(p.weight, q.weight), i, -1))
-        if p.kind is af.Kind.XM and q.kind is af.Kind.XM:
-            out.append((af.AddMergeDual(q.weight, p.weight), i, -1))
-        if p.kind.additive and q.kind.additive:
-            out.append((af.AddCross(p, q), i, 0))
-        if p.kind.multiplicative and q.kind.additive:
-            out.append((af.XYCross(p, q), i, 0))
-        if p.kind is af.Kind.YP and q.kind is af.Kind.YP:
-            out.append((af.MultMerge(p.weight, q.weight), i, -1))
-        if p.kind is af.Kind.YM and q.kind is af.Kind.YM:
-            out.append((af.MultMergeDual(p.weight, q.weight), i, -1))
-        if (p.kind, q.kind) == (af.Kind.XP, af.Kind.XM) and p.weight == q.weight:
-            out.append((af.CapX(p.weight, True), i, -2))
-        if (p.kind, q.kind) == (af.Kind.XM, af.Kind.XP) and p.weight == q.weight:
-            out.append((af.CapX(p.weight, False), i, -2))
-        if (p.kind, q.kind) == (af.Kind.YP, af.Kind.YM) and p.weight == q.weight:
-            out.append((af.CapY(p.weight, True), i, -2))
-        if (p.kind, q.kind) == (af.Kind.YM, af.Kind.YP) and p.weight == q.weight:
-            out.append((af.CapY(p.weight, False), i, -2))
+        kp, kq = p.kind, q.kind
+        if kp.additive:
+            if kp is kq:
+                if kp is K.XP:
+                    out.append((af.AddMerge, (p.weight, q.weight), i, -1))
+                else:
+                    out.append((af.AddMergeDual, (q.weight, p.weight), i, -1))
+            if kq.additive:
+                out.append((af.AddCross, (p, q), i, 0))
+        elif kq.additive:
+            out.append((af.XYCross, (p, q), i, 0))
+        elif kp is kq:
+            merge = af.MultMerge if kp is K.YP else af.MultMergeDual
+            out.append((merge, (p.weight, q.weight), i, -1))
+        # a cap: the two orientations of one kind of line, of equal weight
+        if kp is not kq and kp.additive is kq.additive and p.weight == q.weight:
+            cap = af.CapX if kp.additive else af.CapY
+            out.append((cap, (p.weight, kp is K.XP or kp is K.YP), i, -2))
     gap = rng.randint(0, len(obj))
-    out.append((af.CupX(r(), rng.random() < 0.5), gap, 2))
-    out.append((af.CupY(rnz(), rng.random() < 0.5), gap, 2))
+    n, d = _draw_rational(rng, max_num)
+    out.append((_cup, (af.CupX, n, d, rng.random() < 0.5), gap, 2))
+    n, d = _draw_rational(rng, max_num, nonzero=True)
+    out.append((_cup, (af.CupY, n, d, rng.random() < 0.5), gap, 2))
     return out
 
 
@@ -158,14 +180,16 @@ def random_diagram(
             layers.append((af.Dot(random_dot_payload(rng, mode)), gap))
             dots += 1
             continue
+        room = max_strands - len(cur)
         options = [
-            (gen, pos)
-            for gen, pos, growth in _applicable_generators(rng, cur, max_num)
-            if len(cur) + growth <= max_strands
+            (build, args, pos)
+            for build, args, pos, growth in _applicable_generators(rng, cur, max_num)
+            if growth <= room
         ]
         if not options:
             break
-        gen, pos = rng.choice(options)
+        build, args, pos = rng.choice(options)
+        gen = build(*args)
         layers.append((gen, pos))
         cur = af.apply_layer(cur, gen, pos)
     return af.Diagram(obj, tuple(layers), mode)

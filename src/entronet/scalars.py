@@ -15,10 +15,13 @@ Factoring an integer takes three stages:
   strong pseudoprime to all of them; from there on strong Baillie-PSW
   (Miller-Rabin to base 2 and a strong Lucas test), which has no known
   counterexample but no proof either;
-* Pollard-Brent on composites only, within POLLARD_BRENT_STEPS steps of the
-  map y -> y^2 + c, which finds most prime factors up to about 2**40 (see
-  the constant).  Past the budget FactoringBudgetExceeded is raised, which
-  the command line reports as a usage error (exit 4).
+* Pollard-Brent on composites only, iterating the map y -> y^2 + c, which
+  finds most prime factors up to about 2**40 (see FACTORING_BUDGET).
+
+The primality tests and the Pollard-Brent steps of one call draw on one
+budget, FACTORING_BUDGET, each paid for before it runs.  Past it
+FactoringBudgetExceeded is raised, which the command line reports as a usage
+error (exit 4).
 """
 
 from __future__ import annotations
@@ -28,21 +31,23 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt
-from typing import Iterable
+from typing import Callable, Iterable
 
 Rational = Fraction
 
 TRIAL_DIVISION_BOUND = 2**12
 
-# Iterations of the Pollard-Brent map allowed per composite below 2**128.
-# The steps needed grow with sqrt(p) for the prime factor p found; with the
-# budget scaled to match (400 primes each near 2**24, 2**26 and 2**28 under a
-# budget of 2**15), it finds all factors near 2**36, 97 % near 2**38 and 71 %
-# near 2**40.  A step on an n of 128*(L-1) to 128*L bits counts about L**1.5
-# times, roughly what its two multiplications cost, so that the budget bounds
-# the time and not only the steps: at most about 1 s per composite of any
-# length on a 2-vCPU x86 host.
-POLLARD_BRENT_STEPS = 2**21
+# Work allowed in one factor_int call, in iterations of the Pollard-Brent map
+# on a number below 2**128.  The steps needed grow with sqrt(p) for the prime
+# factor p found; with the budget scaled to match (400 primes each near 2**24,
+# 2**26 and 2**28 under a budget of 2**15), it finds all factors near 2**36,
+# 97 % near 2**38 and 71 % near 2**40.  A step on an n of 128*(L-1) to 128*L
+# bits counts about L**1.5 times, roughly what its two multiplications cost,
+# and a Miller-Rabin round on n counts as many steps as n has bits (a strong
+# Lucas test as three rounds), so that the budget bounds the time and not
+# only the steps: at most about 1 s per call of any length on a 2-vCPU x86
+# host.
+FACTORING_BUDGET = 2**21
 
 # Miller-Rabin witnesses, deterministic below _PSI_13: the smallest strong
 # pseudoprime to every one of them (psi_13; psi_12 = 318665857834031151167461
@@ -60,7 +65,27 @@ class NotPrime(ValueError):
 
 
 class FactoringBudgetExceeded(ValueError):
-    """Raised when Pollard-Brent splits no factor off within its step budget."""
+    """Raised when factor_int cannot finish within FACTORING_BUDGET."""
+
+
+class _Budget:
+    """What is left of FACTORING_BUDGET in one factor_int call."""
+
+    def __init__(self):
+        self.left = FACTORING_BUDGET
+
+    def spend(self, units: int, n: int) -> None:
+        """Pay for work on n before it runs, or raise FactoringBudgetExceeded."""
+        self.left -= units
+        if self.left < 0:
+            raise FactoringBudgetExceeded(
+                f"cannot factor a {n.bit_length()}-bit number within the factoring budget"
+            )
+
+
+def _step_units(n: int) -> int:
+    """Budget units of one Pollard-Brent step, or one squaring, mod n."""
+    return isqrt((1 + n.bit_length() // 128) ** 3)
 
 
 @lru_cache(maxsize=1)
@@ -141,28 +166,34 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    return _is_odd_prime(n, lambda rounds: None)
+
+
+def _is_odd_prime(n: int, pay: Callable[[int], None]) -> bool:
+    """is_prime for n > 41 without a prime factor up to 41; pay(k) runs before
+    each stage, with its cost in Miller-Rabin rounds on n."""
     if n < _PSI_13:
+        pay(len(_MR_WITNESSES))
         return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
-    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+    pay(1)
+    if not _strong_probable_prime(n, 2):
+        return False
+    pay(3)
+    return _strong_lucas_probable_prime(n)
 
 
-def _pollard_brent(n: int) -> int:
+def _pollard_brent(n: int, budget: _Budget) -> int:
     """A nontrivial factor of a composite n without prime factors below
     TRIAL_DIVISION_BOUND, or FactoringBudgetExceeded.
 
     Brent's cycle search runs in blocks of at most 2r steps, r = 1, 2, 4, ...;
-    a block starts only if it fits in what is left of the budget.
+    each block is paid for before it starts.
     """
-    left = POLLARD_BRENT_STEPS // isqrt((1 + n.bit_length() // 128) ** 3)
+    units = _step_units(n)
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            left -= 2 * r
-            if left < 0:
-                raise FactoringBudgetExceeded(
-                    f"cannot factor a {n.bit_length()}-bit composite: no factor found within "
-                    f"the Pollard-Brent budget"
-                )
+            budget.spend(2 * r * units, n)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -188,8 +219,9 @@ def _pollard_brent(n: int) -> int:
 def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as sorted (prime, exponent) pairs.
 
-    Raises FactoringBudgetExceeded if a composite cofactor without prime
-    factors below TRIAL_DIVISION_BOUND does not split within the budget.
+    Raises FactoringBudgetExceeded if the primality tests and Pollard-Brent
+    splits of the cofactors left by trial division do not fit in
+    FACTORING_BUDGET.
     """
     if n < 1:
         raise NonzeroExpected(f"factor_int expects a positive integer, got {n}")
@@ -204,13 +236,18 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
             out[p] = e
         if p * p > n:
             break
+    budget = _Budget()
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m < TRIAL_DIVISION_BOUND**2 or is_prime(m):
+        # a Miller-Rabin round on m costs about one step per bit of m
+        round_units = m.bit_length() * _step_units(m)
+        if m < TRIAL_DIVISION_BOUND**2 or _is_odd_prime(
+            m, lambda rounds: budget.spend(rounds * round_units, m)
+        ):
             out[m] = out.get(m, 0) + 1
         else:
-            d = _pollard_brent(m)
+            d = _pollard_brent(m, budget)
             stack += [d, m // d]
     return tuple(sorted(out.items()))
 

@@ -193,7 +193,8 @@ def _extend(rng, obj):
         options = _applicable_generators(rng, cur, 9)
         if not options:
             break
-        gen, pos, _ = rng.choice(options)
+        build, args, pos, _ = rng.choice(options)
+        gen = build(*args)
         layers.append((gen, pos))
         cur = af.apply_layer(cur, gen, pos)
     return af.Diagram(obj, tuple(layers))

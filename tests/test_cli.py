@@ -332,6 +332,7 @@ def test_catalog_commands(capsys):
     assert run(capsys, "catalog", "carry", "--n", "7")[0] == 0
     assert run(capsys, "catalog", "witt", "--p", "5")[0] == 0
     assert run(capsys, "catalog", "binomial", "--max", "6")[0] == 0
+    assert run(capsys, "catalog", "binomial", "--max", "31")[0] == 0  # the largest within the bound
     code, out, _ = run(capsys, "catalog", "pmi", "--masses", "a=1/2; b=1/4; c=1/4")
     assert code == 0 and "True" in out
 
@@ -368,6 +369,15 @@ _N = 1152921504606859327 * 309485009821345068724848949
         (("catalog", "witt", "--p", "37"), cli.EXIT_USAGE),
         # N, a 61-bit prime times an 89-bit prime, is past the factoring budget
         (("entropy", "--dist", f"1/{_N},{_N - 1}/{_N}"), cli.EXIT_USAGE),
+        # verifications cubic in their range, refused before anything is built
+        (("catalog", "binomial", "--max", "32"), cli.EXIT_USAGE),
+        (("catalog", "binomial", "--max", str(10**30)), cli.EXIT_USAGE),
+        (("catalog", "pmi", "--masses", "; ".join(f"{k}=1/6" for k in "abcdef")), cli.EXIT_USAGE),
+        # an output file in a directory that does not exist
+        (("normalize", fx("worked_example.net"), "--diagram", "worked", "-o",
+          os.path.join(FIXTURES, "no-such-dir", "x.net")), cli.EXIT_USAGE),
+        (("render", fx("worked_example.net"), "--diagram", "worked", "-o",
+          os.path.join(FIXTURES, "no-such-dir", "x.svg")), cli.EXIT_USAGE),
     ],
 )
 def test_bad_input_exit_codes(capsys, argv, want):
@@ -391,3 +401,104 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+# File commands on copies of the shipped fixtures, malformed paths, names and
+# flags.  The fixture names, "OUT" and "GARBLED" stand for files under a
+# temporary directory, so no case can write over a fixture.
+_FIXTURE_NAMES = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".net"))
+_PATH = st.sampled_from(_FIXTURE_NAMES + ["", "no/such/file.net", FIXTURES, "GARBLED"])
+_NAME = st.sampled_from(("worked", "fold", "circ", "merge3", "cy", "zero", "M", "W0", "nope", ""))
+
+
+def _or_junk(valid, junk):
+    """Mostly a valid value, sometimes a malformed one."""
+    return st.one_of(valid, valid, valid, junk)
+
+
+# the affine diagrams, and the group networks and cocycles, of the fixtures
+_DIAGRAM = _or_junk(st.sampled_from([
+    ("worked_example.net", "worked"), ("entropy_fold.net", "fold"),
+    ("entropy_fold.net", "fold_dotted"), ("floaty.net", "halves"), ("affine_mult.net", "mult"),
+]), st.tuples(_PATH, _NAME))
+_NETWORKS = _or_junk(st.just("networks.net"), _PATH)
+_SMALL = _or_junk(st.integers(1, 12).map(str), st.one_of(
+    st.integers(-(10**30), 10**30).map(str), st.sampled_from(("", "0", "-1", "x", "1.5", "0x10"))))
+_SMALLS = st.lists(_SMALL, min_size=1, max_size=3).map(",".join)
+_RATIONAL = _or_junk(st.sampled_from(("1/2", "1/3", "1/4", "1/6", "0")),
+                     st.sampled_from(("1", "-1/2", "x", "1/0", "")))
+_MASSES = st.lists(st.tuples(st.sampled_from("abcdefgh"), _RATIONAL), max_size=8).map(
+    lambda ms: "; ".join(f"{k}={v}" for k, v in ms))
+
+
+def _opt(*tokens):
+    return st.one_of(st.just([]), st.tuples(*tokens).map(list))
+
+
+def _cmd(head, *parts):
+    return st.tuples(*parts).map(lambda ps: list(head) + [t for p in ps for t in p])
+
+
+_FILE_ARGV = st.one_of(
+    _cmd(["jinv"], _DIAGRAM.map(lambda d: [d[0], "--diagram", d[1]]),
+         _opt(st.just("--format"), st.sampled_from(("prime-vector", "entropy", "float", "hex")))),
+    _cmd(["normalize"], _DIAGRAM.map(lambda d: [d[0], "--diagram", d[1]]),
+         _opt(st.just("-o"), st.sampled_from(("OUT", "OUT/missing/x.net", "")))),
+    _cmd(["eval"], _NETWORKS.map(lambda p: [p]),
+         st.tuples(st.just("--gdiagram"), _or_junk(st.sampled_from(("circ", "merge3")), _NAME)),
+         st.tuples(st.just("--with"), st.sampled_from(("alphaU", "alphaF", "alphaC", "alphaCF",
+                                                       "beta"))),
+         _opt(st.just("--cocycle"), _or_junk(st.sampled_from(("cy", "zero")), _NAME)),
+         _opt(st.just("--cocycle1"), _or_junk(st.sampled_from(("zero", "cy")), _NAME)),
+         _opt(st.just("--module"), _or_junk(st.just("M"), _NAME))),
+    _cmd(["extension"], _NETWORKS.map(lambda p: [p]),
+         st.tuples(st.just("--cocycle"), _or_junk(st.just("cy"), _NAME))),
+    _cmd(["h2"],
+         st.tuples(st.just("--group"), _or_junk(
+             st.builds("{}:{}".format, st.sampled_from(("cyclic", "aff1modp")), _SMALL)
+             | st.builds("product:{},{}".format, _SMALL, _SMALL),
+             st.builds("{}:{}".format, st.sampled_from(("cyclic", "product", "dihedral")), _SMALLS))),
+         st.tuples(st.just("--module"), _or_junk(st.builds("z:{}".format, _SMALL),
+                                                 st.builds("q:{}".format, _SMALLS))),
+         _opt(st.just("--degree"), _or_junk(st.sampled_from(("1", "2")), _SMALL)),
+         _opt(st.just("--action"), st.sampled_from(("trivial", "sign")))),
+    _cmd(["catalog"], st.one_of(
+        st.tuples(st.just("carry"), st.just("--n"), _SMALL),
+        st.tuples(st.just("witt"), st.just("--p"), _SMALL),
+        st.tuples(st.just("binomial"), st.just("--max"), _SMALL),
+        st.tuples(st.just("pmi"), st.just("--masses"), _MASSES),
+        st.tuples(st.sampled_from(("carry", "moebius")), st.just("--q"), _SMALL),
+    ).map(list)),
+)
+# malformed flags, in half the cases: a token dropped, or a stray one inserted
+_FLAG_EDITS = st.one_of(st.just([]), st.lists(
+    st.tuples(st.booleans(), st.integers(0, 12),
+              st.sampled_from(("--json", "--bogus", "-o", "--diagram", "--", "-"))),
+    min_size=1, max_size=2,
+))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_FILE_ARGV, edits=_FLAG_EDITS)
+def test_file_commands_exit_codes_fuzz(tmp_path_factory, argv, edits):
+    base = tmp_path_factory.mktemp("fuzz")
+    files = {"OUT": base / "out.net", "GARBLED": base / "garbled.net"}
+    files["GARBLED"].write_bytes(b"diagram D : A -> B {\n  add_merge @0;\n}\n\xff\xfe object")
+    for name in _FIXTURE_NAMES:
+        files[name] = base / name
+        files[name].write_bytes(open(fx(name), "rb").read())
+    argv = [str(files[a]) if a in files else a.replace("OUT", str(base)) for a in argv]
+    for insert, at, token in edits:
+        at %= len(argv) + 1
+        if insert:
+            argv.insert(at, token)
+        elif at < len(argv):
+            del argv[at]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < 3.0, argv
+    assert code in (cli.EXIT_OK, cli.EXIT_FAILED, cli.EXIT_PARSE, cli.EXIT_VALIDATION,
+                    cli.EXIT_USAGE), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -80,6 +80,87 @@ def test_module_action_validation():
     assert time.perf_counter() - start < 1.0
 
 
+def _valid_action(G, moduli, action) -> bool:
+    """Oracle: well-defined matrices, a trivial identity, and the homomorphism
+    law act(gh) = act(g) act(h) for all |G|^2 pairs, on every basis vector."""
+    r = len(moduli)
+
+    def act(g, u):
+        return tuple(sum(action[g][i][j] * u[j] for j in range(r)) % moduli[i] for i in range(r))
+
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    if any(action[g][i][j] * moduli[j] % moduli[i] for g in action for i in range(r)
+           for j in range(r)):
+        return False
+    if any(act(0, u) != u for u in basis):
+        return False
+    return all(act(G.mul(g, h), u) == act(g, act(h, u))
+               for g, h in product(G.elements(), repeat=2) for u in basis)
+
+
+def _candidate_actions(rng, G):
+    """Seeded action tables over G: words in random generator matrices (some
+    valid), the same with one entry changed, and tables drawn entry by entry;
+    for the regular permutation action, it and its transpose (an
+    anti-homomorphism, so valid only when G is abelian)."""
+    words = {0: []}  # a word in G.generators for each element
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for i, s in enumerate(G.generators):
+            y = G.mul(x, s)
+            if y not in words:
+                words[y] = words[x] + [i]
+                frontier.append(y)
+    out = []
+    for _ in range(60):
+        moduli = rng.choice([(2,), (3,), (4,), (5,), (2, 2), (3, 3), (2, 4)])
+        r = len(moduli)
+        eye = [[int(i == j) for j in range(r)] for i in range(r)]
+        mats = [[[rng.randrange(max(moduli)) for _ in range(r)] for _ in range(r)]
+                for _ in G.generators]
+        action = {}
+        for g, word in words.items():
+            acc = eye
+            for i in word:
+                acc = [[sum(acc[a][k] * mats[i][k][b] for k in range(r)) % moduli[a]
+                        for b in range(r)] for a in range(r)]
+            action[g] = acc
+        out.append((moduli, action))
+        changed = {g: [row[:] for row in m] for g, m in action.items()}
+        g = rng.randrange(1, G.order)
+        i, j = rng.randrange(r), rng.randrange(r)
+        changed[g][i][j] = (changed[g][i][j] + rng.randrange(1, moduli[i])) % moduli[i]
+        out.append((moduli, changed))
+        drawn = {g: [[rng.randrange(max(moduli)) for _ in range(r)] for _ in range(r)]
+                 for g in G.elements()}
+        drawn[0] = eye
+        out.append((moduli, drawn))
+    n = G.order
+    regular = {g: [[int(G.mul(g, x) == y) for x in range(n)] for y in range(n)]
+               for g in G.elements()}
+    out.append(((2,) * n, regular))
+    out.append(((3,) * n, {g: [list(col) for col in zip(*m)] for g, m in regular.items()}))
+    return out
+
+
+def test_module_check_matches_all_pairs():
+    # the module checks the law only against Light's generators of the group
+    rng = seeded_rng(311)
+    c2 = Group.cyclic(2)
+    verdicts = []
+    for G in (Group.cyclic(4), Group.direct_product(c2, c2), Group.aff1_mod_p(3)):
+        for moduli, action in _candidate_actions(rng, G):
+            try:
+                GModule(G, moduli, action)
+                accepted = True
+            except GroupValidationError:
+                accepted = False
+            assert accepted == _valid_action(G, moduli, action), (G.order, moduli, action)
+            verdicts.append(accepted)
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 200
+
+
 # -- cochains ---------------------------------------------------------------------
 
 

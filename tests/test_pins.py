@@ -6,7 +6,10 @@ group-network evaluations, the random `.net` sources, the rewrite sites and
 the printed normal forms.  The seeds are the defaults (ENTRONET_SEED unset).
 """
 
+import copy
 import hashlib
+import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -152,6 +155,35 @@ def test_printed_normal_forms(draws):
         decl = dsl.diagram_to_decl("D", "S", "T", rewrite.normalize(d))
         texts.append(dsl.print_source(dsl.SourceFile((decl,), d.mode)))
     assert _sha(texts) == PINS["normal_forms"]
+
+
+def test_criterion_5_stream():
+    """The first 1000 draws of the boundary-theorem criterion's stream."""
+    rng = _seeded(5)
+    ds = [random_diagram(rng) for _ in range(1000)]
+    assert hashlib.sha256(repr(ds).encode()).hexdigest()[:16] == "5513f133105a73cd"
+
+
+def test_boundary_memo_is_invisible(draws):
+    """A generator's kept boundary changes none of what it shows or compares."""
+    ds = draws[0][:100] + draws[1][:50]
+    gens = [gen for d in ds for gen, _ in d.layers]
+    # the same generators built afresh, without a kept boundary
+    fresh = [type(g)(*(getattr(g, f.name) for f in fields(g))) for g in gens]
+    for d in ds:
+        af.validate(d)
+        af.j_invariant(d)
+    assert [repr(g) for g in gens] == [repr(f) for f in fresh]
+    assert [hash(g) for g in gens] == [hash(f) for f in fresh]
+    assert gens == fresh
+    for g in gens:
+        assert af.boundary(g) == (g.dom(), g.cod())
+        for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert twin == g and hash(twin) == hash(g) and af.boundary(twin) == af.boundary(g)
+    for d in ds:
+        back = af.inverse(af.inverse(d))
+        assert back.source == d.source and af.validate(back) == af.validate(d)
+        assert af.values_equal(d.mode, af.j_invariant(back), af.j_invariant(d))
 
 
 def test_layer_name_order():

@@ -124,6 +124,26 @@ def test_factor_int_budget():
     assert factor_int(PSI_12) == ((399165290221, 1), (798330580441, 1))
 
 
+def test_factor_int_budget_covers_primality_tests():
+    import time
+
+    from sympy import primerange
+
+    # 882 primes just past trial division: every split leaves a cofactor of
+    # thousands of bits to test for primality
+    primes = list(primerange(4100, 12100))
+    n = math.prod(primes)
+    assert n.bit_length() == 11382
+    start = time.perf_counter()
+    try:
+        assert factor_int(n) == tuple((p, 1) for p in primes)
+    except FactoringBudgetExceeded:
+        pass
+    assert time.perf_counter() - start < 5.0
+    # a product of the first 77 of them, 933 bits, factors within the budget
+    assert factor_int(math.prod(primes[:77])) == tuple((p, 1) for p in primes[:77])
+
+
 _atoms = st.lists(st.integers(2, 10**15), min_size=1, max_size=4)
 
 
