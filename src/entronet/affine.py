@@ -378,7 +378,7 @@ def apply_layer(obj: Obj, gen: Generator, pos: int, layer_index: int | None = No
     """Apply one generator at a strand position, checking its domain exactly."""
     dom, cod = boundary(gen)
     n = len(dom)
-    if pos < 0 or pos + n > len(obj) or (n == 0 and pos > len(obj)):
+    if pos < 0 or pos + n > len(obj):
         raise PositionOutOfRange(
             f"position {pos} with arity {n} in object of length {len(obj)}", layer_index
         )

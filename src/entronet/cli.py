@@ -32,7 +32,7 @@ from .groupnet.diagrams import (
     validate_gdiagram,
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
-from .jspace import EntropyScalar, render_float
+from .jspace import EntropyScalar, entropy_render, render_float
 from .scalars import FactoringBudgetExceeded, parse_rational
 
 EXIT_OK = 0
@@ -125,8 +125,6 @@ def cmd_jinv(args) -> int:
         if isinstance(value, float):
             raise CliError("float-mode diagram; use --format float", EXIT_USAGE)
         if not isinstance(value, EntropyScalar):
-            from .jspace import entropy_render
-
             value = entropy_render(value)
         _emit(
             args,
@@ -137,8 +135,6 @@ def cmd_jinv(args) -> int:
         if isinstance(value, EntropyScalar):
             value = render_float(value)
         elif not isinstance(value, float):
-            from .jspace import entropy_render
-
             value = render_float(entropy_render(value))
         _emit(args, [repr(value)], {"float": value})
     return EXIT_OK
@@ -306,8 +302,6 @@ def cmd_h2(args) -> int:
     if kind != "z":
         raise CliError(f"unknown module spec {args.module!r}", EXIT_USAGE)
     moduli = _spec_ints(args.module, rest)
-    if args.action != "trivial":
-        raise CliError("only the trivial action is available from the command line", EXIT_USAGE)
     try:
         G = _parse_group_spec(args.group, len(moduli), args.degree)
         factors, _ = h_solver(G, GModule.trivial(G, moduli), args.degree)
@@ -468,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"order supported is {_largest_order(2)} for H^2 and {_largest_order(1)} for H^1",
     )
     p.add_argument("--module", required=True, help="z:M or z:M1,M2")
-    p.add_argument("--action", default="trivial")
     p.add_argument("--degree", type=int, default=2, choices=[1, 2])
 
     p = sub.add_parser("catalog", parents=[common], help="named cocycles")

@@ -369,23 +369,13 @@ class _Parser:
 
     def parse_number(self):
         """Rational or float; floats carry a dot or exponent."""
+        start = self.i
         neg = self.accept("sym", "-") is not None
-        tok = self.peek()
-        if tok.kind == "float":
-            self.next()
-            val = float(tok.text)
-            return -val if neg else val
-        tok = self.expect("int")
-        num = int(tok.text)
-        if self.accept("sym", "/"):
-            den_tok = self.expect("int")
-            den = int(den_tok.text)
-            if den == 0:
-                self.fail("zero denominator", den_tok)
-            value = Fraction(num, den)
-        else:
-            value = Fraction(num)
-        return -value if neg else value
+        if self.peek().kind != "float":
+            self.i = start
+            return self.parse_rational()
+        val = float(self.next().text)
+        return -val if neg else val
 
     def parse_prime_vector(self) -> PrimeVector:
         self.expect("sym", "{")

@@ -246,7 +246,7 @@ class GDiagram:
 def apply_glayer(G: Group, obj: GObj, gen: GGenerator, pos: int, layer: int | None = None) -> GObj:
     dom = gen.dom(G)
     n = len(dom)
-    if pos < 0 or pos + n > len(obj) or (n == 0 and pos > len(obj)):
+    if pos < 0 or pos + n > len(obj):
         raise GDiagramError(
             f"position {pos} with arity {n} in object of length {len(obj)}", layer
         )

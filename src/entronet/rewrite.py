@@ -2,9 +2,11 @@
 
 Each rule matches a short window of layers at one strand position and
 replaces it by an equivalent window: boundary and evaluation are preserved
-exactly (asserted in debug runs).  Normalization does not search this rule
-set; the canonical form is computed directly from the boundary and the
-evaluation, which determine the morphism.  The rules exist to be tested.
+exactly (asserted in debug runs).  Each rule is one row of `CATALOG`, and
+`sampling.random_rule_site` builds its test sites from the same rows.
+Normalization does not search this rule set; the canonical form is computed
+directly from the boundary and the evaluation, which determine the morphism.
+The rules exist to be tested.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ from .affine import (
     MultMerge,
     MultSplit,
     XYCross,
+    xminus,
     xplus,
+    yminus,
+    yplus,
 )
 
 
@@ -39,247 +44,88 @@ class RuleNotApplicable(Exception):
     pass
 
 
+def _always(*params) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class RewriteRule:
+    """One local move, declared once as a row.
+
+    `classes` are the window's generator classes, layer by layer (None stands
+    for any generator).  `read(window)` returns the window's base strand
+    position p and its params; `lhs(p, *params)` rebuilds the pattern,
+    `rhs(p, *params)` is its replacement and `guard(*params)` any condition
+    the pattern cannot state.  A window matches when its classes agree, the
+    pattern rebuilt from what `read` found equals the window, and the guard
+    holds: the pattern is the one statement of what the rule matches.
+
+    A constructed site takes its params from `draw(rand)`, where rand offers
+    rational(), nonzero(), coin() and points() (see
+    `sampling.random_rule_site`), and puts `lhs(p, *params)` on the strands
+    `domain(*params)`, which begin at p.
+    """
+
     name: str
-    matcher: Callable[[Diagram, int], bool]
-    transform: Callable[[Diagram, int], Diagram]
+    classes: tuple[type | None, ...]
+    read: Callable[[tuple[Layer, ...]], tuple[int, tuple]]
+    lhs: Callable[..., tuple[Layer, ...]]
+    rhs: Callable[..., tuple[Layer, ...]]
+    domain: Callable[..., af.Obj]
+    draw: Callable[..., tuple]
+    guard: Callable[..., bool] = _always
+
+    def matcher(self, d: Diagram, at: int) -> bool:
+        layers, classes = d.layers, self.classes
+        end = at + len(classes)
+        if at < 0 or end > len(layers):
+            return False
+        # the classes first: most windows fail here, before any slice or read
+        i = at
+        for cls in classes:
+            if type(layers[i][0]) is not cls and cls is not None:
+                return False
+            i += 1
+        window = layers[at:end]
+        p, params = self.read(window)
+        return self.lhs(p, *params) == window and self.guard(*params)
 
 
-def _layers(d: Diagram, at: int, count: int):
-    if at < 0 or at + count > len(d.layers):
-        return None
-    return d.layers[at : at + count]
+def _removed(p, *params) -> tuple[Layer, ...]:
+    return ()
 
 
-def _splice(d: Diagram, at: int, count: int, replacement: tuple[Layer, ...]) -> Diagram:
-    layers = d.layers[:at] + replacement + d.layers[at + count :]
-    return Diagram(d.source, layers, d.mode)
+def _x_point(rand) -> af.Pt:
+    """An additive point of a random orientation (the coin, then the weight)."""
+    return (xplus if rand.coin() else xminus)(rand.rational())
 
 
-def _window_rule(name: str, count: int, match_fn, replace_fn) -> RewriteRule:
-    def matcher(d: Diagram, at: int) -> bool:
-        window = _layers(d, at, count)
-        return window is not None and match_fn(window)
-
-    def transform(d: Diagram, at: int) -> Diagram:
-        window = _layers(d, at, count)
-        if window is None or not match_fn(window):
-            raise RuleNotApplicable(f"{name} does not match at layer {at}")
-        return _splice(d, at, count, replace_fn(window))
-
-    return RewriteRule(name, matcher, transform)
+def _y_point(rand, c: Fraction) -> af.Pt:
+    return (yplus if rand.coin() else yminus)(c)
 
 
-# -- additive rules ---------------------------------------------------------
+def _skein_draw(rand) -> tuple[Fraction, Fraction, Fraction]:
+    a1, a2 = rand.rational(), rand.rational()
+    b = rand.rational()
+    while b == a1:
+        b = rand.rational()
+    return a1, a2, b
 
 
-merge_assoc = _window_rule(
-    "merge_assoc",
-    2,
-    lambda w: (
-        isinstance(w[0][0], AddMerge)
-        and isinstance(w[1][0], AddMerge)
-        and w[0][1] == w[1][1]
-        and w[1][0].a == w[0][0].a + w[0][0].b
-    ),
-    lambda w: (
-        (AddMerge(w[0][0].b, w[1][0].b), w[0][1] + 1),
-        (AddMerge(w[0][0].a, w[0][0].b + w[1][0].b), w[0][1]),
-    ),
-)
+def _through_merge(p: int, y: af.Pt, a: Fraction, b: Fraction) -> tuple[Layer, ...]:
+    first, second = XYCross(y, xplus(a)), XYCross(y, xplus(b))
+    merge = AddMerge(first.cod()[0].weight, second.cod()[0].weight)
+    return ((first, p), (second, p + 1), (merge, p))
 
-split_assoc = _window_rule(
-    "split_assoc",
-    2,
-    lambda w: (
-        isinstance(w[0][0], AddSplit)
-        and isinstance(w[1][0], AddSplit)
-        and w[1][1] == w[0][1] + 1
-        and w[1][0].a + w[1][0].b == w[0][0].b
-    ),
-    lambda w: (
-        (AddSplit(w[0][0].a + w[1][0].a, w[1][0].b), w[0][1]),
-        (AddSplit(w[0][0].a, w[1][0].a), w[0][1]),
-    ),
-)
 
-cancel_merge_split = _window_rule(
-    "cancel_merge_split",
-    2,
-    lambda w: (
-        isinstance(w[0][0], AddMerge)
-        and isinstance(w[1][0], AddSplit)
-        and w[0][1] == w[1][1]
-        and (w[0][0].a, w[0][0].b) == (w[1][0].a, w[1][0].b)
-    ),
-    lambda w: (),
-)
+def _reversal(y: af.Pt) -> CoorientRev:
+    """The co-orientation reversal whose domain is y."""
+    return CoorientRev(y.weight, y.kind is Kind.YP)
 
-cancel_split_merge = _window_rule(
-    "cancel_split_merge",
-    2,
-    lambda w: (
-        isinstance(w[0][0], AddSplit)
-        and isinstance(w[1][0], AddMerge)
-        and w[0][1] == w[1][1]
-        and (w[0][0].a, w[0][0].b) == (w[1][0].a, w[1][0].b)
-    ),
-    lambda w: (),
-)
 
-cross_as_merge_split = _window_rule(
-    "cross_as_merge_split",
-    1,
-    lambda w: (
-        isinstance(w[0][0], AddCross)
-        and w[0][0].first.kind is Kind.XP
-        and w[0][0].second.kind is Kind.XP
-    ),
-    lambda w: (
-        (AddMerge(w[0][0].first.weight, w[0][0].second.weight), w[0][1]),
-        (AddSplit(w[0][0].second.weight, w[0][0].first.weight), w[0][1]),
-    ),
-)
-
-cross_pull_apart = _window_rule(
-    "cross_pull_apart",
-    2,
-    lambda w: (
-        isinstance(w[0][0], AddCross)
-        and isinstance(w[1][0], AddCross)
-        and w[0][1] == w[1][1]
-        and w[1][0].first == w[0][0].second
-        and w[1][0].second == w[0][0].first
-    ),
-    lambda w: (),
-)
-
-curl_remove = _window_rule(
-    "curl_remove",
-    3,
-    lambda w: (
-        isinstance(w[0][0], CupX)
-        and isinstance(w[1][0], AddCross)
-        and isinstance(w[2][0], CapX)
-        and w[0][0].plus_on_left
-        and w[2][0].plus_on_left
-        and w[0][0].a == w[2][0].a
-        and w[1][1] == w[0][1] - 1
-        and w[2][1] == w[0][1]
-        and w[1][0].first == xplus(w[0][0].a)
-        and w[1][0].second == xplus(w[0][0].a)
-    ),
-    lambda w: (),
-)
-
-additive_skein = _window_rule(
-    "additive_skein",
-    2,
-    lambda w: (
-        isinstance(w[0][0], AddMerge)
-        and isinstance(w[1][0], AddSplit)
-        and w[0][1] == w[1][1]
-        and w[0][0].a + w[0][0].b == w[1][0].a + w[1][0].b
-        and (w[0][0].a, w[0][0].b) != (w[1][0].a, w[1][0].b)
-    ),
-    lambda w: (
-        (AddSplit(w[1][0].a - w[0][0].a, w[1][0].b), w[0][1] + 1),
-        (AddMerge(w[0][0].a, w[1][0].a - w[0][0].a), w[0][1]),
-    ),
-)
-
-zero_circle = _window_rule(
-    "zero_circle",
-    2,
-    lambda w: (
-        isinstance(w[0][0], CupX)
-        and isinstance(w[1][0], CapX)
-        and w[0][0] == CupX(Fraction(0), w[0][0].plus_on_left)
-        and w[1][0] == CapX(Fraction(0), w[0][0].plus_on_left)
-        and w[0][1] == w[1][1]
-    ),
-    lambda w: (),
-)
-
-# -- multiplicative rules ---------------------------------------------------
-
-mult_assoc = _window_rule(
-    "mult_assoc",
-    2,
-    lambda w: (
-        isinstance(w[0][0], MultMerge)
-        and isinstance(w[1][0], MultMerge)
-        and w[0][1] == w[1][1]
-        and w[1][0].c1 == w[0][0].c1 * w[0][0].c2
-    ),
-    lambda w: (
-        (MultMerge(w[0][0].c2, w[1][0].c2), w[0][1] + 1),
-        (MultMerge(w[0][0].c1, w[0][0].c2 * w[1][0].c2), w[0][1]),
-    ),
-)
-
-mult_cancel = _window_rule(
-    "mult_cancel",
-    2,
-    lambda w: (
-        isinstance(w[0][0], MultMerge)
-        and isinstance(w[1][0], MultSplit)
-        and w[0][1] == w[1][1]
-        and (w[0][0].c1, w[0][0].c2) == (w[1][0].c1, w[1][0].c2)
-    ),
-    lambda w: (),
-)
-
-unit_circle = _window_rule(
-    "unit_circle",
-    2,
-    lambda w: (
-        isinstance(w[0][0], CupY)
-        and isinstance(w[1][0], CapY)
-        and w[0][0].c == 1
-        and w[1][0].c == 1
-        and w[0][0].plus_on_left == w[1][0].plus_on_left
-        and w[0][1] == w[1][1]
-    ),
-    lambda w: (),
-)
-
-mult_through_merge = _window_rule(
-    "mult_through_merge",
-    3,
-    lambda w: (
-        isinstance(w[0][0], XYCross)
-        and isinstance(w[1][0], XYCross)
-        and isinstance(w[2][0], AddMerge)
-        and w[1][1] == w[0][1] + 1
-        and w[2][1] == w[0][1]
-        and w[1][0].y == w[0][0].y
-        and w[0][0].x.kind is Kind.XP
-        and w[1][0].x.kind is Kind.XP
-        and w[2][0].a == w[0][0].cod()[0].weight
-        and w[2][0].b == w[1][0].cod()[0].weight
-    ),
-    lambda w: (
-        (AddMerge(w[0][0].x.weight, w[1][0].x.weight), w[0][1] + 1),
-        (XYCross(w[0][0].y, xplus(w[0][0].x.weight + w[1][0].x.weight)), w[0][1]),
-    ),
-)
-
-cross_past_coorient_rev = _window_rule(
-    "cross_past_coorient_rev",
-    2,
-    lambda w: (
-        isinstance(w[0][0], XYCross)
-        and isinstance(w[1][0], CoorientRev)
-        and w[1][1] == w[0][1] + 1
-        and w[1][0].dom()[0] == w[0][0].y
-    ),
-    lambda w: (
-        (w[1][0], w[0][1]),
-        (XYCross(w[1][0].cod()[0], w[0][0].x), w[0][1]),
-    ),
-)
+def _reversal_first(p: int, y: af.Pt, x: af.Pt) -> tuple[Layer, ...]:
+    rev = _reversal(y)
+    return ((rev, p), (XYCross(rev.cod()[0], x), p))
 
 
 def _arity(gen) -> tuple[int, int]:
@@ -287,51 +133,179 @@ def _arity(gen) -> tuple[int, int]:
     return len(dom), len(cod)
 
 
-def _exchange_matcher(d: Diagram, at: int) -> bool:
-    window = _layers(d, at, 2)
-    if window is None:
-        return False
-    (g1, p1), (g2, p2) = window
+def _disjoint(g1, g2, offset: int) -> bool:
     # g2 lies right of g1's codomain, or wholly left of g1
-    return p2 >= p1 + _arity(g1)[1] or p2 + _arity(g2)[0] <= p1
+    return offset >= _arity(g1)[1] or offset + _arity(g2)[0] <= 0
 
 
-def _exchange_transform(d: Diagram, at: int) -> Diagram:
-    window = _layers(d, at, 2)
-    if window is None or not _exchange_matcher(d, at):
-        raise RuleNotApplicable(f"exchange_disjoint does not match at layer {at}")
-    (g1, p1), (g2, p2) = window
+def _exchange(p: int, g1, g2, offset: int) -> tuple[Layer, ...]:
     n1, m1 = _arity(g1)
     n2, m2 = _arity(g2)
-    delta1, delta2 = m1 - n1, m2 - n2
-    if p2 >= p1 + m1:
+    if offset >= m1:
         # g2 acts right of g1: shift it back below, shift g1 not at all
-        new = ((g2, p2 - delta1), (g1, p1))
-    else:
-        # g2 acts strictly left of g1
-        new = ((g2, p2), (g1, p1 + delta2))
-    return _splice(d, at, 2, new)
+        return ((g2, p + offset - (m1 - n1)), (g1, p))
+    # g2 acts strictly left of g1
+    return ((g2, p + offset), (g1, p + m2 - n2))
 
 
-exchange_disjoint = RewriteRule("exchange_disjoint", _exchange_matcher, _exchange_transform)
+def _exchange_draw(rand) -> tuple:
+    a, b, c = rand.rational(), rand.rational(), rand.nonzero()
+    mid = rand.points()
+    return AddMerge(a, b), CoorientRev(c, True), 1 + len(mid), mid
 
 
 CATALOG: tuple[RewriteRule, ...] = (
-    merge_assoc,
-    split_assoc,
-    cancel_merge_split,
-    cancel_split_merge,
-    cross_as_merge_split,
-    cross_pull_apart,
-    curl_remove,
-    additive_skein,
-    zero_circle,
-    mult_assoc,
-    mult_cancel,
-    unit_circle,
-    mult_through_merge,
-    cross_past_coorient_rev,
-    exchange_disjoint,
+    # -- additive rules
+    RewriteRule(
+        "merge_assoc",
+        (AddMerge, AddMerge),
+        read=lambda w: (w[0][1], (w[0][0].a, w[0][0].b, w[1][0].b)),
+        lhs=lambda p, a, b, c: ((AddMerge(a, b), p), (AddMerge(a + b, c), p)),
+        rhs=lambda p, a, b, c: ((AddMerge(b, c), p + 1), (AddMerge(a, b + c), p)),
+        domain=lambda a, b, c: (xplus(a), xplus(b), xplus(c)),
+        draw=lambda rand: (rand.rational(), rand.rational(), rand.rational()),
+    ),
+    RewriteRule(
+        "split_assoc",
+        (AddSplit, AddSplit),
+        read=lambda w: (w[0][1], (w[0][0].a, w[1][0].a, w[1][0].b)),
+        lhs=lambda p, a, b, c: ((AddSplit(a, b + c), p), (AddSplit(b, c), p + 1)),
+        rhs=lambda p, a, b, c: ((AddSplit(a + b, c), p), (AddSplit(a, b), p)),
+        domain=lambda a, b, c: (xplus(a + b + c),),
+        draw=lambda rand: (rand.rational(), rand.rational(), rand.rational()),
+    ),
+    RewriteRule(
+        "cancel_merge_split",
+        (AddMerge, AddSplit),
+        read=lambda w: (w[0][1], (w[0][0].a, w[0][0].b)),
+        lhs=lambda p, a, b: ((AddMerge(a, b), p), (AddSplit(a, b), p)),
+        rhs=_removed,
+        domain=lambda a, b: (xplus(a), xplus(b)),
+        draw=lambda rand: (rand.rational(), rand.rational()),
+    ),
+    RewriteRule(
+        "cancel_split_merge",
+        (AddSplit, AddMerge),
+        read=lambda w: (w[0][1], (w[0][0].a, w[0][0].b)),
+        lhs=lambda p, a, b: ((AddSplit(a, b), p), (AddMerge(a, b), p)),
+        rhs=_removed,
+        domain=lambda a, b: (xplus(a + b),),
+        draw=lambda rand: (rand.rational(), rand.rational()),
+    ),
+    RewriteRule(
+        "cross_as_merge_split",
+        (AddCross,),
+        read=lambda w: (w[0][1], (w[0][0].first.weight, w[0][0].second.weight)),
+        lhs=lambda p, a, b: ((AddCross(xplus(a), xplus(b)), p),),
+        rhs=lambda p, a, b: ((AddMerge(a, b), p), (AddSplit(b, a), p)),
+        domain=lambda a, b: (xplus(a), xplus(b)),
+        draw=lambda rand: (rand.rational(), rand.rational()),
+    ),
+    RewriteRule(
+        "cross_pull_apart",
+        (AddCross, AddCross),
+        read=lambda w: (w[0][1], (w[0][0].first, w[0][0].second)),
+        lhs=lambda p, x1, x2: ((AddCross(x1, x2), p), (AddCross(x2, x1), p)),
+        rhs=_removed,
+        domain=lambda x1, x2: (x1, x2),
+        draw=lambda rand: (_x_point(rand), _x_point(rand)),
+    ),
+    RewriteRule(
+        "curl_remove",
+        (CupX, AddCross, CapX),
+        read=lambda w: (w[1][1], (w[0][0].a,)),
+        lhs=lambda p, a: (
+            (CupX(a, True), p + 1),
+            (AddCross(xplus(a), xplus(a)), p),
+            (CapX(a, True), p + 1),
+        ),
+        rhs=_removed,
+        domain=lambda a: (xplus(a),),
+        draw=lambda rand: (rand.rational(),),
+    ),
+    RewriteRule(
+        "additive_skein",
+        (AddMerge, AddSplit),
+        read=lambda w: (w[0][1], (w[0][0].a, w[0][0].b, w[1][0].a)),
+        lhs=lambda p, a1, a2, b: ((AddMerge(a1, a2), p), (AddSplit(b, a1 + a2 - b), p)),
+        rhs=lambda p, a1, a2, b: (
+            (AddSplit(b - a1, a1 + a2 - b), p + 1),
+            (AddMerge(a1, b - a1), p),
+        ),
+        # b = a1 is cancel_merge_split
+        guard=lambda a1, a2, b: b != a1,
+        domain=lambda a1, a2, b: (xplus(a1), xplus(a2)),
+        draw=_skein_draw,
+    ),
+    RewriteRule(
+        "zero_circle",
+        (CupX, CapX),
+        read=lambda w: (w[0][1], (w[0][0].plus_on_left,)),
+        lhs=lambda p, on_left: ((CupX(Fraction(0), on_left), p), (CapX(Fraction(0), on_left), p)),
+        rhs=_removed,
+        domain=lambda on_left: (),
+        draw=lambda rand: (rand.coin(),),
+    ),
+    # -- multiplicative rules
+    RewriteRule(
+        "mult_assoc",
+        (MultMerge, MultMerge),
+        read=lambda w: (w[0][1], (w[0][0].c1, w[0][0].c2, w[1][0].c2)),
+        lhs=lambda p, c1, c2, c3: ((MultMerge(c1, c2), p), (MultMerge(c1 * c2, c3), p)),
+        rhs=lambda p, c1, c2, c3: ((MultMerge(c2, c3), p + 1), (MultMerge(c1, c2 * c3), p)),
+        domain=lambda c1, c2, c3: (yplus(c1), yplus(c2), yplus(c3)),
+        draw=lambda rand: (rand.nonzero(), rand.nonzero(), rand.nonzero()),
+    ),
+    RewriteRule(
+        "mult_cancel",
+        (MultMerge, MultSplit),
+        read=lambda w: (w[0][1], (w[0][0].c1, w[0][0].c2)),
+        lhs=lambda p, c1, c2: ((MultMerge(c1, c2), p), (MultSplit(c1, c2), p)),
+        rhs=_removed,
+        domain=lambda c1, c2: (yplus(c1), yplus(c2)),
+        draw=lambda rand: (rand.nonzero(), rand.nonzero()),
+    ),
+    RewriteRule(
+        "unit_circle",
+        (CupY, CapY),
+        read=lambda w: (w[0][1], (w[0][0].plus_on_left,)),
+        lhs=lambda p, on_left: ((CupY(Fraction(1), on_left), p), (CapY(Fraction(1), on_left), p)),
+        rhs=_removed,
+        domain=lambda on_left: (),
+        draw=lambda rand: (rand.coin(),),
+    ),
+    RewriteRule(
+        "mult_through_merge",
+        (XYCross, XYCross, AddMerge),
+        read=lambda w: (w[0][1], (w[0][0].y, w[0][0].x.weight, w[1][0].x.weight)),
+        lhs=_through_merge,
+        rhs=lambda p, y, a, b: ((AddMerge(a, b), p + 1), (XYCross(y, xplus(a + b)), p)),
+        domain=lambda y, a, b: (y, xplus(a), xplus(b)),
+        draw=lambda rand: (_y_point(rand, rand.nonzero()), rand.rational(), rand.rational()),
+    ),
+    RewriteRule(
+        "cross_past_coorient_rev",
+        (XYCross, CoorientRev),
+        read=lambda w: (w[0][1], (w[0][0].y, w[0][0].x)),
+        lhs=lambda p, y, x: ((XYCross(y, x), p), (_reversal(y), p + 1)),
+        rhs=_reversal_first,
+        domain=lambda y, x: (y, x),
+        draw=lambda rand: (_y_point(rand, rand.nonzero()), _x_point(rand)),
+    ),
+    # -- any two generators on disjoint strands.  This rule matches on
+    # arities, not on a pattern: the rebuilt pair always equals the window and
+    # the guard decides.  A site's params add the strands `mid` between the
+    # two, which no window shows.
+    RewriteRule(
+        "exchange_disjoint",
+        (None, None),
+        read=lambda w: (w[0][1], (w[0][0], w[1][0], w[1][1] - w[0][1])),
+        lhs=lambda p, g1, g2, offset, mid=(): ((g1, p), (g2, p + offset)),
+        rhs=_exchange,
+        guard=_disjoint,
+        domain=lambda g1, g2, offset, mid: g1.dom() + mid + g2.dom(),
+        draw=_exchange_draw,
+    ),
 )
 
 RULES = {rule.name: rule for rule in CATALOG}
@@ -341,7 +315,9 @@ def apply(d: Diagram, rule: RewriteRule, at: int) -> Diagram:
     """Apply a rule at a layer index; boundary and evaluation are preserved."""
     if not rule.matcher(d, at):
         raise RuleNotApplicable(f"{rule.name} does not match at layer {at}")
-    out = rule.transform(d, at)
+    end = at + len(rule.classes)
+    p, params = rule.read(d.layers[at:end])
+    out = Diagram(d.source, d.layers[:at] + rule.rhs(p, *params) + d.layers[end:], d.mode)
     if __debug__:
         assert af.validate(out) == af.validate(d), rule.name
         assert af.values_equal(d.mode, af.j_invariant(out), af.j_invariant(d)), rule.name
@@ -439,9 +415,9 @@ def normalize(d: Diagram) -> Diagram:
     """Canonical two-stage diagram with the same boundary and evaluation.
 
     The skeleton reduces the source to its weight object and expands back to
-    the target; a single dot in the leftmost middle gap carries whatever the
-    skeleton misses (always present outside the dotless J mode's needs: it is
-    emitted whenever the diagram's mode supports dots, i.e. always).
+    the target.  A single dot in the leftmost gap between the two halves
+    carries whatever the skeleton's evaluation misses.  The dot is emitted
+    even when its label is zero, so every normal form has the same shape.
     """
     src = tuple(d.source)
     tgt = af.validate(d)

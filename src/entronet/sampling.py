@@ -15,10 +15,11 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable
 
 from . import affine as af
-from . import dsl
+from . import dsl, rewrite
 from .groupnet.cohomology import Cocycle2, coboundary2
 from .groupnet.diagrams import (
     GCapLR,
@@ -407,121 +408,19 @@ def random_source(rng: random.Random):
 
 
 def random_rule_site(rng: random.Random, rule_name: str, max_num: int = 7):
-    r = lambda: random_rational(rng, max_num)
-    rnz = lambda: random_rational(rng, max_num, nonzero=True)
+    """(diagram, 0): the rule's pattern on drawn params, between random strands."""
     left = random_object(rng, max_points=3, max_num=max_num)
     right = random_object(rng, max_points=2, max_num=max_num)
-    p = len(left)
-
-    def build(domain_points, layers):
-        src = left + tuple(domain_points) + right
-        return af.Diagram(src, tuple(layers), af.MODE_J), 0
-
-    if rule_name == "merge_assoc":
-        a, b, c = r(), r(), r()
-        return build(
-            (af.xplus(a), af.xplus(b), af.xplus(c)),
-            [(af.AddMerge(a, b), p), (af.AddMerge(a + b, c), p)],
+    rule = rewrite.RULES.get(rule_name)
+    if rule is None:
+        raise ValueError(f"unknown rule {rule_name!r}")
+    params = rule.draw(
+        SimpleNamespace(
+            rational=lambda: random_rational(rng, max_num),
+            nonzero=lambda: random_rational(rng, max_num, nonzero=True),
+            coin=lambda: rng.random() < 0.5,
+            points=lambda: random_object(rng, max_points=2, max_num=max_num),
         )
-    if rule_name == "split_assoc":
-        a, b, c = r(), r(), r()
-        return build(
-            (af.xplus(a + b + c),),
-            [(af.AddSplit(a, b + c), p), (af.AddSplit(b, c), p + 1)],
-        )
-    if rule_name == "cancel_merge_split":
-        a, b = r(), r()
-        return build(
-            (af.xplus(a), af.xplus(b)),
-            [(af.AddMerge(a, b), p), (af.AddSplit(a, b), p)],
-        )
-    if rule_name == "cancel_split_merge":
-        a, b = r(), r()
-        return build(
-            (af.xplus(a + b),),
-            [(af.AddSplit(a, b), p), (af.AddMerge(a, b), p)],
-        )
-    if rule_name == "cross_as_merge_split":
-        a, b = r(), r()
-        pts = (af.xplus(a), af.xplus(b))
-        return build(pts, [(af.AddCross(*pts), p)])
-    if rule_name == "cross_pull_apart":
-        pts = tuple(
-            af.xplus(r()) if rng.random() < 0.5 else af.xminus(r()) for _ in range(2)
-        )
-        return build(
-            pts,
-            [(af.AddCross(pts[0], pts[1]), p), (af.AddCross(pts[1], pts[0]), p)],
-        )
-    if rule_name == "curl_remove":
-        a = r()
-        return build(
-            (af.xplus(a),),
-            [
-                (af.CupX(a, True), p + 1),
-                (af.AddCross(af.xplus(a), af.xplus(a)), p),
-                (af.CapX(a, True), p + 1),
-            ],
-        )
-    if rule_name == "additive_skein":
-        a1, a2 = r(), r()
-        while True:
-            b = r()
-            if b != a1:
-                break
-        return build(
-            (af.xplus(a1), af.xplus(a2)),
-            [(af.AddMerge(a1, a2), p), (af.AddSplit(b, a1 + a2 - b), p)],
-        )
-    if rule_name == "zero_circle":
-        po = rng.random() < 0.5
-        zero = Fraction(0)
-        return build((), [(af.CupX(zero, po), p), (af.CapX(zero, po), p)])
-    if rule_name == "mult_assoc":
-        c1, c2, c3 = rnz(), rnz(), rnz()
-        return build(
-            (af.yplus(c1), af.yplus(c2), af.yplus(c3)),
-            [(af.MultMerge(c1, c2), p), (af.MultMerge(c1 * c2, c3), p)],
-        )
-    if rule_name == "mult_cancel":
-        c1, c2 = rnz(), rnz()
-        return build(
-            (af.yplus(c1), af.yplus(c2)),
-            [(af.MultMerge(c1, c2), p), (af.MultSplit(c1, c2), p)],
-        )
-    if rule_name == "unit_circle":
-        po = rng.random() < 0.5
-        one = Fraction(1)
-        return build((), [(af.CupY(one, po), p), (af.CapY(one, po), p)])
-    if rule_name == "mult_through_merge":
-        c = rnz()
-        y = af.yplus(c) if rng.random() < 0.5 else af.yminus(c)
-        s = c if y.kind is af.Kind.YP else 1 / c
-        a, b = r(), r()
-        return build(
-            (y, af.xplus(a), af.xplus(b)),
-            [
-                (af.XYCross(y, af.xplus(a)), p),
-                (af.XYCross(y, af.xplus(b)), p + 1),
-                (af.AddMerge(s * a, s * b), p),
-            ],
-        )
-    if rule_name == "cross_past_coorient_rev":
-        c = rnz()
-        from_plus = rng.random() < 0.5
-        y = af.yplus(c) if from_plus else af.yminus(c)
-        x = af.xplus(r()) if rng.random() < 0.5 else af.xminus(r())
-        return build(
-            (y, x),
-            [(af.XYCross(y, x), p), (af.CoorientRev(c, from_plus), p + 1)],
-        )
-    if rule_name == "exchange_disjoint":
-        a, b, c = r(), r(), rnz()
-        mid = random_object(rng, max_points=2, max_num=max_num)
-        src_pts = (af.xplus(a), af.xplus(b)) + mid + (af.yplus(c),)
-        layers = [
-            (af.AddMerge(a, b), p),
-            (af.CoorientRev(c, True), p + 1 + len(mid)),
-        ]
-        return build(src_pts, layers)
-    raise ValueError(f"unknown rule {rule_name!r}")
+    )
+    src = left + rule.domain(*params) + right
+    return af.Diagram(src, rule.lhs(len(left), *params), af.MODE_J), 0

@@ -2,8 +2,9 @@
 
 A refactor that keeps behaviour keeps every hash below: the sampled affine
 diagrams, their exact values, the SVG text of both diagram kinds, the four
-group-network evaluations, the random `.net` sources, the rewrite sites and
-the printed normal forms.  The seeds are the defaults (ENTRONET_SEED unset).
+group-network evaluations, the random `.net` sources, the rewrite sites, the
+sites every rule matches and what it leaves there, and the printed normal
+forms.  The seeds are the defaults (ENTRONET_SEED unset).
 """
 
 import copy
@@ -147,6 +148,24 @@ def test_rule_sites():
     rng = _seeded(52)
     sites = [random_rule_site(rng, name) for name in rewrite.RULES for _ in range(10)]
     assert _sha(sites) == PINS["rule_sites"]
+
+
+def test_rule_matching(draws):
+    """The sites every rule finds, and what applying it there leaves."""
+    ds = draws[0][:100] + draws[1][:50]
+    sites = [rewrite.applicable_sites(d) for d in ds]
+    assert _sha(sites) == "2e5fc56f68a4321a"
+    rules = rewrite.RULES
+    applied = [[rewrite.apply(d, rules[n], at).layers for n, at in s] for d, s in zip(ds, sites)]
+    assert _sha(applied) == "b1142ec40e886cea"
+    rng = _seeded(52)
+    constructed = []
+    for name in rules:
+        for _ in range(10):
+            d, at = random_rule_site(rng, name)
+            out = rewrite.apply(d, rules[name], at)
+            constructed.append((rewrite.applicable_sites(d), out.layers))
+    assert _sha(constructed) == "ba5471316a3d511e"
 
 
 def test_printed_normal_forms(draws):

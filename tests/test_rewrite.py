@@ -133,6 +133,38 @@ def test_all_rules_on_constructed_sites():
             _check(name, d, at)
 
 
+def test_rule_order():
+    """The benchmark and the pins index the rules by this order."""
+    assert tuple(rw.RULES) == (
+        "merge_assoc", "split_assoc", "cancel_merge_split", "cancel_split_merge",
+        "cross_as_merge_split", "cross_pull_apart", "curl_remove", "additive_skein",
+        "zero_circle", "mult_assoc", "mult_cancel", "unit_circle", "mult_through_merge",
+        "cross_past_coorient_rev", "exchange_disjoint",
+    )
+
+
+def test_matcher_window_must_fit():
+    """A window that starts before layer 0 or runs past the top never matches,
+    so a negative index cannot slice from the end."""
+    from entronet.sampling import random_rule_site
+
+    rng = seeded_rng(70)
+    for name, rule in rw.RULES.items():
+        for _ in range(10):
+            d, _ = random_rule_site(rng, name)
+            for at in (-1, len(d.layers)):
+                assert not rule.matcher(d, at), (name, at)
+                with pytest.raises(rw.RuleNotApplicable):
+                    rw.apply(d, rule, at)
+
+
+def test_unknown_rule_site():
+    from entronet.sampling import random_rule_site
+
+    with pytest.raises(ValueError, match="nope"):
+        random_rule_site(seeded_rng(0), "nope")
+
+
 def test_random_diagrams_also_offer_sites():
     rng = seeded_rng(69)
     seen = set()
