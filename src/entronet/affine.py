@@ -733,9 +733,11 @@ def chain_rule_check(z: Sequence[Fraction], ys: Sequence[Sequence[Fraction]]) ->
         return False
     if all(p != 0 for p in z):
         da, db = chain_diagrams(z, ys)
-        if not equal_morphisms(da, db):
-            return False
-        if j_invariant(da) != lhs_value:
+        # equal_morphisms(da, db) and j_invariant(da) == lhs_value, with one
+        # evaluation of each diagram
+        if validate(da) != validate(db):
+            raise BoundaryMismatch("boundaries differ")
+        if not j_invariant(da) == lhs_value == j_invariant(db):
             return False
     return True
 

@@ -9,6 +9,12 @@ exactly as a rational constant plus a rational combination of log p; the
 log p are linearly independent over Q, so componentwise equality is the
 equality of the corresponding real numbers (documented, classical).
 
+A vector is stored as integer numerators over one positive common
+denominator, in lowest terms as a whole: gcd(den, *numerators) == 1 and no
+zero numerators.  The form is canonical, so equality compares it directly,
+and each sum or scaling reduces it with one gcd instead of building one
+Fraction per coefficient.
+
 `symbol` factors only what survives: it writes the six numerators and
 denominators over a pairwise coprime base, sums the integer coefficient of
 each base element, and factors just the elements whose coefficient is
@@ -30,24 +36,32 @@ Rational = Fraction
 
 
 class PrimeVector:
-    """Finitely supported map prime -> Q; exact componentwise arithmetic."""
+    """Finitely supported map prime -> Q; exact componentwise arithmetic.
 
-    __slots__ = ("_coeffs",)
+    Stored as integer numerators over one common denominator: the coefficient
+    at p is ``_num[p] / _den``, with ``_den > 0``, no zero entries in ``_num``
+    and ``gcd(_den, *_num.values()) == 1``.  This form is canonical, so two
+    vectors are equal exactly when their ``_den`` and ``_num`` are.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        clean = {}
-        if coeffs:
-            for p, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    clean[p] = c
-        self._coeffs = clean
+        fracs = [(p, Fraction(c)) for p, c in (coeffs or {}).items()]
+        den = math.lcm(*(c.denominator for _, c in fracs))
+        v = PrimeVector._of({p: c.numerator * (den // c.denominator) for p, c in fracs if c}, den)
+        self._num, self._den = v._num, v._den
 
     @classmethod
-    def _of(cls, clean: dict[int, Fraction]) -> "PrimeVector":
-        """The vector over a dict of nonzero Fractions, taken as it is."""
+    def _of(cls, num: dict[int, int], den: int) -> "PrimeVector":
+        """The vector num / den, for nonzero integers num and den > 0, in
+        lowest terms after one gcd."""
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {p: c // g for p, c in num.items()}
+            den //= g
         v = cls.__new__(cls)
-        v._coeffs = clean
+        v._num, v._den = num, den
         return v
 
     @classmethod
@@ -55,44 +69,54 @@ class PrimeVector:
         return cls()
 
     def items(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple(sorted(self._coeffs.items()))
+        return tuple(sorted((p, Fraction(c, self._den)) for p, c in self._num.items()))
 
     def coeff(self, p: int) -> Fraction:
-        return self._coeffs.get(p, Fraction(0))
+        return Fraction(self._num.get(p, 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __add__(self, other: "PrimeVector") -> "PrimeVector":
-        out = dict(self._coeffs)
-        for p, c in other._coeffs.items():
-            if p in out:
-                c += out[p]
-                if not c:
-                    del out[p]
-                    continue
-            out[p] = c
-        return PrimeVector._of(out)
+        if not other._num:
+            return self
+        if not self._num:
+            return other
+        a, b = self._den, other._den
+        g = math.gcd(a, b)
+        sa, sb = b // g, a // g  # a * sa == b * sb == lcm(a, b)
+        out = {p: c * sa for p, c in self._num.items()}
+        for p, c in other._num.items():
+            c = c * sb + out.get(p, 0)
+            if c:
+                out[p] = c
+            else:
+                del out[p]
+        return PrimeVector._of(out, a * sa)
 
     def __sub__(self, other: "PrimeVector") -> "PrimeVector":
         return self + (-other)
 
     def __neg__(self) -> "PrimeVector":
-        return PrimeVector._of({p: -c for p, c in self._coeffs.items()})
+        v = PrimeVector.__new__(PrimeVector)
+        v._num, v._den = {p: -c for p, c in self._num.items()}, self._den
+        return v
 
     def scaled(self, c: Fraction) -> "PrimeVector":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if not c:
             return PrimeVector()
-        return PrimeVector._of({p: c * v for p, v in self._coeffs.items()})
+        k = c.numerator
+        return PrimeVector._of({p: k * v for p, v in self._num.items()}, c.denominator * self._den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeVector):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         return hash(self.items())
@@ -122,7 +146,8 @@ def tensor_vector(a: Fraction, q: Fraction) -> PrimeVector:
 
 def symbol(a: Fraction, b: Fraction) -> PrimeVector:
     """The symbol <a,b> in normal form; a, b, a+b may each be zero."""
-    a, b = Fraction(a), Fraction(b)
+    if type(a) is not Fraction or type(b) is not Fraction:
+        a, b = Fraction(a), Fraction(b)
     # Over D, a*v(a) + b*v(b) - (a+b)*v(a+b) is (1/D) * sum of w * v(n) over
     # the integer weights w = A, -A, B, -B, -C, C of the numerators and
     # denominators n of a, b and a+b = C/D.
@@ -136,7 +161,7 @@ def symbol(a: Fraction, b: Fraction) -> PrimeVector:
                         (-C, C // g, D // g)):
         if w:
             terms += ((abs(num), w), (den, -w))
-    out: dict[int, Fraction] = {}
+    out: dict[int, int] = {}
     for e in coprime_base(n for n, _ in terms):
         c = 0
         for n, w in terms:
@@ -146,13 +171,13 @@ def symbol(a: Fraction, b: Fraction) -> PrimeVector:
         if c:
             # base elements are coprime, so each prime comes from one of them
             for p, k in factor_int(e):
-                out[p] = Fraction(c * k, D)
-    return PrimeVector._of(out)
+                out[p] = c * k
+    return PrimeVector._of(out, D)
 
 
 def scale(c: Fraction, v: PrimeVector) -> PrimeVector:
     """Scalar action of Q on J(Q): scale(c, <a,b>) = <ca,cb>."""
-    return v.scaled(Fraction(c))
+    return v.scaled(c)
 
 
 @dataclass(frozen=True)
@@ -210,7 +235,7 @@ class EntropyScalar:
     __slots__ = ("constant", "logpart")
 
     def __init__(self, constant: Fraction = Fraction(0), logpart: PrimeVector | None = None):
-        self.constant = Fraction(constant)
+        self.constant = constant if type(constant) is Fraction else Fraction(constant)
         self.logpart = logpart if logpart is not None else PrimeVector()
 
     @classmethod
@@ -230,7 +255,8 @@ class EntropyScalar:
         return EntropyScalar(-self.constant, -self.logpart)
 
     def scaled(self, c: Fraction) -> "EntropyScalar":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         return EntropyScalar(c * self.constant, self.logpart.scaled(c))
 
     def __eq__(self, other: object) -> bool:
@@ -266,7 +292,7 @@ class EntropyScalar:
 
 def entropy_render(v: PrimeVector) -> EntropyScalar:
     """Entropy value of a symbol vector: <a,b> renders to <a,b>_H exactly."""
-    return EntropyScalar(Fraction(0), -v)
+    return EntropyScalar(logpart=-v)
 
 
 def render_float(s: EntropyScalar) -> float:

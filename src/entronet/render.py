@@ -9,7 +9,7 @@ deterministic: identical input and options give byte-identical text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape
 
 from . import affine as af
 from .groupnet.diagrams import GDiagram, gstates
@@ -65,7 +65,7 @@ class _Canvas:
     def text(self, x, y, s, size, color="#333333"):
         self.elements.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{_fmt(size)}" '
-            f'fill="{color}" font-family="monospace">{escape(s)}</text>'
+            f'fill="{color}" font-family="monospace">{escape(s, quote=False)}</text>'
         )
 
 

@@ -312,14 +312,19 @@ RULES = {rule.name: rule for rule in CATALOG}
 
 
 def apply(d: Diagram, rule: RewriteRule, at: int) -> Diagram:
-    """Apply a rule at a layer index; boundary and evaluation are preserved."""
+    """Apply a rule at a layer index; boundary and evaluation are preserved.
+
+    A diagram that does not validate raises its own DiagramError, also under
+    ``python -O``.
+    """
+    target = af.validate(d)
     if not rule.matcher(d, at):
         raise RuleNotApplicable(f"{rule.name} does not match at layer {at}")
     end = at + len(rule.classes)
     p, params = rule.read(d.layers[at:end])
     out = Diagram(d.source, d.layers[:at] + rule.rhs(p, *params) + d.layers[end:], d.mode)
     if __debug__:
-        assert af.validate(out) == af.validate(d), rule.name
+        assert af.validate(out) == target, rule.name
         assert af.values_equal(d.mode, af.j_invariant(out), af.j_invariant(d)), rule.name
     return out
 

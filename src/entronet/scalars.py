@@ -8,8 +8,9 @@ base for a few integers, and p-adic valuations.
 
 Factoring an integer takes three stages:
 
-* trial division by the 564 primes below TRIAL_DIVISION_BOUND = 2**12; a
-  cofactor below the bound squared is then prime;
+* one gcd with the product of the 564 primes below TRIAL_DIVISION_BOUND =
+  2**12, then trial division by the primes it shows to divide; a cofactor
+  below the bound squared is then prime;
 * `is_prime` on the cofactor: Miller-Rabin with the thirteen prime witnesses
   2 ... 41, proven correct below 3317044064679887385961981, the smallest
   strong pseudoprime to all of them; from there on strong Baillie-PSW
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Callable, Iterable
 
 Rational = Fraction
@@ -98,6 +99,13 @@ def prime_table() -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return tuple(i for i in range(bound) if sieve[i])
+
+
+@lru_cache(maxsize=1)
+def _small_prime_product() -> int:
+    """The product of prime_table(): one gcd with it finds every prime below
+    TRIAL_DIVISION_BOUND that divides a number."""
+    return prod(prime_table())
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -226,16 +234,23 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise NonzeroExpected(f"factor_int expects a positive integer, got {n}")
     out: dict[int, int] = {}
+    # g: the product of the primes below the bound that divide n and are
+    # not yet divided out
+    g = gcd(n, _small_prime_product())
     for p in prime_table():
-        if n % p == 0:
-            e = 1
-            n //= p
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        if p * p > n:
+        if g == 1:
             break
+        if p * p > g:  # g has no prime factor below p, so it is prime
+            p = g
+        elif g % p:
+            continue
+        g //= p
+        e = 1
+        n //= p
+        while n % p == 0:
+            n //= p
+            e += 1
+        out[p] = e
     budget = _Budget()
     stack = [n] if n > 1 else []
     while stack:

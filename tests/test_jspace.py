@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entronet.jspace import (
     BetaSymbol,
@@ -175,6 +175,96 @@ def test_scale_examples():
     assert scale(F(3), PrimeVector()).is_zero()
     assert scale(F(2), symbol(F(1, 2), F(1, 2))) == symbol(F(1), F(1))
     assert symbol(F(1), F(1)) == PrimeVector({2: F(-2)})
+
+
+# -- the stored form against a plain dict -------------------------------------
+
+
+def _model_symbol(a, b):
+    """<a,b> as a dict prime -> Fraction, from sympy's factorizations."""
+    from sympy import factorint
+
+    out = {}
+    for coeff, x in ((a, a), (b, b), (-(a + b), a + b)):
+        if x:
+            for n, sign in ((abs(x.numerator), 1), (x.denominator, -1)):
+                for p, e in factorint(n).items():
+                    out[p] = out.get(p, 0) + sign * coeff * e
+    return {p: c for p, c in out.items() if c}
+
+
+def _model_add(m1, m2):
+    out = {p: m1.get(p, 0) + m2.get(p, 0) for p in m1.keys() | m2.keys()}
+    return {p: F(c) for p, c in out.items() if c}
+
+
+def _same(v, m):
+    """v and the model m hold the same coefficients, and v is in its stored form."""
+    items = tuple(sorted(m.items()))
+    assert v.items() == items
+    assert v.to_text() == "{" + ", ".join(f"{p}: {c}" for p, c in items) + "}"
+    assert all(type(c) is F and math.gcd(c.numerator, c.denominator) == 1 for _, c in v.items())
+    assert v._den > 0 and 0 not in v._num.values()
+    assert math.gcd(v._den, *v._num.values()) == 1
+    rebuilt = PrimeVector(m)
+    assert v == rebuilt and hash(v) == hash(rebuilt)
+    assert v.is_zero() == (not m)
+
+
+_primes = st.sampled_from([2, 3, 5, 7, 4093, 2**61 - 1])
+_small = st.fractions(min_value=F(-12), max_value=F(12), max_denominator=12)
+_large = st.builds(F, st.integers(-(2**90), 2**90), st.integers(1, 2**90))
+_scalars = st.one_of(st.just(F(0)), st.integers(-5, -1).map(F), _small, _large)
+_dicts = st.dictionaries(_primes, st.one_of(_small, _large), max_size=4)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["add", "sub"]), st.integers(0, 99), st.integers(0, 99)),
+        st.tuples(st.just("neg"), st.integers(0, 99)),
+        st.tuples(st.just("scaled"), st.integers(0, 99), _scalars),
+        st.tuples(st.just("symbol"), _small, _small),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_dicts, min_size=1, max_size=4), _steps)
+def test_prime_vector_matches_dict_model(starts, steps):
+    pool = [(PrimeVector(m), {p: F(c) for p, c in m.items() if c}) for m in starts]
+    for v, m in pool:
+        _same(v, m)
+    for op, *args in steps:
+        if op == "symbol":
+            v, m = symbol(*args), _model_symbol(*args)
+        elif op == "scaled":
+            (v, m), c = pool[args[0] % len(pool)], args[1]
+            v, m = v.scaled(c), {p: c * x for p, x in m.items() if c}
+        elif op == "neg":
+            v, m = pool[args[0] % len(pool)]
+            v, m = -v, {p: -x for p, x in m.items()}
+        else:
+            (v1, m1), (v2, m2) = (pool[i % len(pool)] for i in args)
+            if op == "add":
+                v, m = v1 + v2, _model_add(m1, m2)
+            else:
+                v, m = v1 - v2, _model_add(m1, {p: -x for p, x in m2.items()})
+        _same(v, m)
+        for w, mw in pool:
+            assert (v == w) == (m == mw)
+            assert m != mw or hash(v) == hash(w)
+        pool.append((v, m))
+
+
+def test_prime_vector_canonical_form():
+    half = PrimeVector({2: F(1, 2)})
+    assert half + half == PrimeVector({2: 1}) and hash(half + half) == hash(PrimeVector({2: 1}))
+    assert (half + half).items() == ((2, F(1)),)
+    assert PrimeVector({2: 0}).is_zero() and PrimeVector({2: 0}) == PrimeVector()
+    assert hash(PrimeVector({2: 0})) == hash(PrimeVector())
+    third = PrimeVector({3: F(1, 3), 5: F(2, 3)})
+    assert third.scaled(F(3, 2)) == PrimeVector({3: F(1, 2), 5: 1})
+    assert third - third == PrimeVector() and (third - third).items() == ()
+    assert third.coeff(5) == F(2, 3) and third.coeff(7) == 0
 
 
 # -- beta symbols ------------------------------------------------------------

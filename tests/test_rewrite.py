@@ -122,6 +122,42 @@ def test_rule_not_applicable():
         rw.apply(d, rw.RULES["merge_assoc"], 0)
 
 
+_INVALID_AFTER_MATCH = """
+from fractions import Fraction as F
+from entronet import affine as af, rewrite as rw
+
+X = lambda a: af.xplus(F(a))
+merges = [(af.AddMerge(F(1), F(2)), 0), (af.AddMerge(F(3), F(3)), 0), (af.AddMerge(F(6), F(4)), 0)]
+af.validate(af.Diagram((X(1), X(2), X(3), X(4)), tuple(merges)))
+# the last merge shifted right by one: the window at 0 still matches
+bad = af.Diagram((X(1), X(2), X(3), X(4)), tuple(merges[:2]) + ((merges[2][0], 1),))
+assert rw.RULES["merge_assoc"].matcher(bad, 0)
+try:
+    rw.apply(bad, rw.RULES["merge_assoc"], 0)
+except af.PositionOutOfRange as exc:
+    print("refused:", exc)
+else:
+    raise SystemExit("apply returned an invalid diagram")
+"""
+
+
+def test_apply_refuses_invalid_diagram():
+    exec(compile(_INVALID_AFTER_MATCH, "<invalid-after-match>", "exec"), {})
+
+
+def test_apply_refuses_invalid_diagram_without_asserts():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-O", "-c", _INVALID_AFTER_MATCH],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr + run.stdout
+    assert run.stdout.startswith("refused: layer 2: position 1")
+
+
 def test_all_rules_on_constructed_sites():
     from entronet.sampling import random_rule_site
 

@@ -112,6 +112,30 @@ def test_factor_int_matches_sympy():
             assert got == factorint(n), n
 
 
+def test_factor_int_seams_match_sympy():
+    """The small-prime gcd and the 2**24 cofactor bound, against sympy."""
+    import random
+
+    from sympy import factorint, nextprime, prevprime
+
+    table = prime_table()
+    last = table[-1]  # 4093, the last prime below the trial-division bound
+    first_past = nextprime(TRIAL_DIVISION_BOUND)  # 4099
+    below, past = prevprime(TRIAL_DIVISION_BOUND**2), nextprime(TRIAL_DIVISION_BOUND**2)
+    cases = [1, last, first_past, last**2, last * first_past, math.prod(table),
+             math.prod(table) * first_past**2, below, past, first_past**2,
+             first_past * nextprime(first_past)]
+    cases += [2**k for k in range(1, 70)]
+    # cofactors just below and just past 2**24, behind small primes up to the last
+    cases += [s * c for s in (2, 3 * 5, last, 2 * last**3, table[-2] * last)
+              for c in (below, past, first_past**2, TRIAL_DIVISION_BOUND**2 - 1,
+                        TRIAL_DIVISION_BOUND**2 + 1)]
+    rng = random.Random(24)
+    cases += [rng.getrandbits(bits) | 1 << (bits - 1) for bits in range(1, 61) for _ in range(25)]
+    for n in cases:
+        assert dict(factor_int(n)) == factorint(n), n
+
+
 def test_factor_int_budget():
     import time
 
