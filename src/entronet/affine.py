@@ -32,6 +32,7 @@ from .jspace import (
     symbol,
 )
 from .mirror import mirrored, signed_pairs
+from .slices import Calculus, LayerError
 
 Rational = Fraction
 
@@ -43,14 +44,8 @@ MODES = (MODE_J, MODE_H, MODE_HFLOAT)
 FLOAT_TOL = 1e-10
 
 
-class DiagramError(Exception):
+class DiagramError(LayerError):
     """Base class for diagram validation failures."""
-
-    def __init__(self, message: str, layer: int | None = None):
-        self.layer = layer
-        if layer is not None:
-            message = f"layer {layer}: {message}"
-        super().__init__(message)
 
 
 class KindMismatch(DiagramError):
@@ -374,75 +369,45 @@ def boundary(gen: Generator) -> tuple[Obj, Obj]:
         return pair
 
 
-def apply_layer(obj: Obj, gen: Generator, pos: int, layer_index: int | None = None) -> Obj:
-    """Apply one generator at a strand position, checking its domain exactly."""
-    dom, cod = boundary(gen)
-    n = len(dom)
-    if pos < 0 or pos + n > len(obj):
-        raise PositionOutOfRange(
-            f"position {pos} with arity {n} in object of length {len(obj)}", layer_index
-        )
-    actual = obj[pos : pos + n]
-    for want, got in zip(dom, actual):
-        if want.kind is not got.kind:
-            raise KindMismatch(f"expected {want!r}, found {got!r}", layer_index)
-        if want.weight is not got.weight and want.weight != got.weight:
-            raise WeightMismatch(f"expected {want!r}, found {got!r}", layer_index)
-    return obj[:pos] + cod + obj[pos + n :]
+def _step(w: Fraction, pt: Pt) -> Fraction:
+    kind = pt.kind
+    if kind.additive:
+        return w
+    return w * pt.weight if kind is Kind.YP else w / pt.weight
 
 
-def states(d: Diagram) -> list[Obj]:
-    """Objects between layers, from the source (index 0) to the target."""
-    out = [tuple(d.source)]
-    for i, (gen, pos) in enumerate(d.layers):
-        out.append(apply_layer(out[-1], gen, pos, i))
-    return out
+def _mismatch(dom: Obj, found: Obj, layer: int | None) -> DiagramError:
+    want, got = next((want, got) for want, got in zip(dom, found) if want != got)
+    error = KindMismatch if want.kind is not got.kind else WeightMismatch
+    return error(f"expected {want!r}, found {got!r}", layer)
+
+
+# Affine diagrams as a sliced calculus: the winding of a gap is the product
+# over the multiplicative points left of it, c for Y+(c) and 1/c for Y-(c).
+AFFINE = Calculus(boundary, PositionOutOfRange, _mismatch, Fraction(1), _step)
+
+apply_layer = AFFINE.apply
+winding_product = AFFINE.winding
 
 
 def validate(d: Diagram) -> Obj:
     """Target object of a well-formed diagram; raises at the first bad layer."""
-    return states(d)[-1]
+    return AFFINE.states(d.source, d.layers)[-1]
 
 
 # ---------------------------------------------------------------------------
 # Weights, windings, and effective weights.
 
 
-def winding_product(obj: Obj, gap: int) -> Fraction:
-    """Product over multiplicative points left of the gap: c for Y+, 1/c for Y-."""
-    if gap < 0 or gap > len(obj):
-        raise PositionOutOfRange(f"gap {gap} in object of length {len(obj)}")
-    w = Fraction(1)
-    for pt in obj[:gap]:
-        if pt.kind is Kind.YP:
-            w *= pt.weight
-        elif pt.kind is Kind.YM:
-            w /= pt.weight
-    return w
-
-
 def winding(d: Diagram, layer: int, gap: int) -> Fraction:
     """Winding of a gap in the object just below the given layer index."""
-    st = states(d)
-    if layer < 0 or layer >= len(st):
-        raise PositionOutOfRange(f"layer {layer} of {len(st)} states")
-    return winding_product(st[layer], gap)
+    return AFFINE.winding_at(d.source, d.layers, layer, gap)
 
 
 def effective_weights(obj: Obj) -> list[Fraction]:
     """Signed, winding-scaled additive weights, in left-to-right order."""
-    out = []
-    w = Fraction(1)
-    for pt in obj:
-        if pt.kind is Kind.YP:
-            w *= pt.weight
-        elif pt.kind is Kind.YM:
-            w /= pt.weight
-        elif pt.kind is Kind.XP:
-            out.append(w * pt.weight)
-        else:
-            out.append(-w * pt.weight)
-    return out
+    pairs = zip(AFFINE.windings(obj), obj)
+    return [(w if pt.kind is Kind.XP else -w) * pt.weight for w, pt in pairs if pt.kind.additive]
 
 
 def object_weight(obj: Obj) -> AffWeight:
@@ -506,32 +471,27 @@ def _dot_value(mode: str, payload: DotPayload):
 _VERTEX_SIGNS = signed_pairs({AddMerge: 1, AddMergeDual: -1})
 
 
-def layer_contribution(mode: str, obj: Obj, gen: Generator, pos: int):
-    """Evaluation contribution of one layer applied to obj at pos."""
-    w = winding_product(obj, pos)
+def layer_contribution(mode: str, w: Fraction, gen: Generator):
+    """Evaluation contribution of one layer at winding w."""
     sign = _VERTEX_SIGNS.get(type(gen))
     if sign is not None:
         return _scale_value(mode, w if sign > 0 else -w, _vertex_value(mode, gen.a, gen.b))
+    return _dot_term(mode, w, gen)
+
+
+def _dot_term(mode: str, w: Fraction, gen: Generator):
     if isinstance(gen, Dot):
         return _scale_value(mode, w, _dot_value(mode, gen.payload))
     return None
 
 
-def _dot_term(mode: str, obj: Obj, gen: Generator, pos: int):
-    if isinstance(gen, Dot):
-        return _scale_value(mode, winding_product(obj, pos), _dot_value(mode, gen.payload))
-    return None
-
-
 def _fold(d: Diagram, term):
-    """Sum of term(mode, obj, gen, pos) over the layers, each at the object below it."""
+    """Sum of term(mode, w, gen) over the layers, w the winding at each layer."""
     total = _zero_value(d.mode)
-    obj = tuple(d.source)
-    for i, (gen, pos) in enumerate(d.layers):
-        piece = term(d.mode, obj, gen, pos)
+    for w, gen in AFFINE.walk(d.source, d.layers):
+        piece = term(d.mode, w, gen)
         if piece is not None:
             total = total + piece
-        obj = apply_layer(obj, gen, pos, i)
     return total
 
 
@@ -754,16 +714,14 @@ def is_finprob(d: Diagram) -> bool:
         return False
     if sum((pt.weight for pt in obj), Fraction(0)) != 1:
         return False
-    for gen, pos in d.layers:
-        if isinstance(gen, AddCross):
-            if gen.first.kind is not Kind.XP or gen.second.kind is not Kind.XP:
-                return False
-        elif not isinstance(gen, AddMerge):
+    for gen, _ in d.layers:
+        upward_cross = isinstance(gen, AddCross) and gen.first.kind is gen.second.kind is Kind.XP
+        if not (upward_cross or isinstance(gen, AddMerge)):
             return False
-        try:
-            obj = apply_layer(obj, gen, pos)
-        except DiagramError:
-            return False
+    try:
+        validate(d)
+    except DiagramError:
+        return False
     return True
 
 

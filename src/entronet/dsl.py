@@ -49,10 +49,11 @@ from .groupnet.diagrams import (
     VMergeR,
     VSplitL,
     VSplitR,
-    apply_glayer,
+    calculus,
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
 from .scalars import format_rational
+from .slices import Calculus, LayerError
 
 
 class ParseError(Exception):
@@ -747,12 +748,12 @@ class Resolved:
     gdiagrams: dict[str, GDiagram] = field(default_factory=dict)
 
 
-def _resolve_layers(table: dict, decl, src: tuple, tgt: tuple, apply, order: int = 0):
+def _resolve_layers(table: dict, decl, src: tuple, tgt: tuple, calc: Calculus, order: int = 0):
     """The layers of a diagram declaration, built on src and ending in tgt.
 
     Each spec is checked against its row of the calculus's layer table
-    (argument count and kinds; group elements below order), then applied by
-    apply(obj, gen, pos) to the object below it.
+    (argument count and kinds; group elements below order), then applied in
+    calc to the object below it.
     """
     cur, layers = src, []
     for spec in decl.layers:
@@ -790,8 +791,8 @@ def _resolve_layers(table: dict, decl, src: tuple, tgt: tuple, apply, order: int
             values = (*values, spec.payload)
         try:
             gen = rule.build(*values)
-            cur = apply(cur, gen, pos)
-        except (af.DiagramError, GDiagramError) as exc:
+            cur = calc.apply(cur, gen, pos)
+        except LayerError as exc:
             fail(str(exc))
         layers.append((gen, pos))
     if cur != tgt:
@@ -819,7 +820,7 @@ def resolve(sf: SourceFile) -> Resolved:
         elif isinstance(decl, DiagramDecl):
             src = lookup(out.objects, decl.source, "object", decl.line, decl.col)
             tgt = lookup(out.objects, decl.target, "object", decl.line, decl.col)
-            layers = _resolve_layers(AFFINE_LAYERS, decl, src, tgt, af.apply_layer)
+            layers = _resolve_layers(AFFINE_LAYERS, decl, src, tgt, af.AFFINE)
             out.diagrams[decl.name] = af.Diagram(src, layers, decl.mode)
         elif isinstance(decl, GroupDecl):
             if decl.ctor == "product":
@@ -899,8 +900,7 @@ def resolve(sf: SourceFile) -> Resolved:
                     raise ResolveError(f"element {p.g} out of range", decl.line, decl.col)
             src = tuple(GPt(p.g, p.left) for p in decl.source)
             tgt = tuple(GPt(p.g, p.left) for p in decl.target)
-            apply = lambda obj, gen, pos: apply_glayer(G, obj, gen, pos)
-            layers = _resolve_layers(GROUP_LAYERS, decl, src, tgt, apply, G.order)
+            layers = _resolve_layers(GROUP_LAYERS, decl, src, tgt, calculus(G), G.order)
             out.gdiagrams[decl.name] = GDiagram(G, src, layers)
     return out
 

@@ -526,7 +526,8 @@ def h_solver(G: Group, U: GModule, degree: int):
     factors, vecs = _cohomology(U, degree, N)
     reps = [_to_cochain(U, degree, vec) for vec in vecs]
     verify = verify_cocycle2 if degree == 2 else verify_cocycle1
-    assert all(verify(rep) for rep in reps)
+    if not all(verify(rep) for rep in reps):
+        raise RuntimeError(f"h_solver built a representative that is not a {degree}-cocycle")
     return factors, reps
 
 

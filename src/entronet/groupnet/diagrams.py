@@ -22,16 +22,13 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..mirror import mirrored, signed_pairs
+from ..slices import Calculus, LayerError
 from .cohomology import Cocycle1, Cocycle2, is_normalized
 from .groups import GModule, Group, UElt
 
 
-class GDiagramError(Exception):
-    def __init__(self, message: str, layer: int | None = None):
-        self.layer = layer
-        if layer is not None:
-            message = f"layer {layer}: {message}"
-        super().__init__(message)
+class GDiagramError(LayerError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -155,10 +152,10 @@ class GDot:
 # Vertices of the second kind, as macros over a flip plus a first-kind vertex.
 
 
-def _split_expand(self, G: Group, pos: int):
+def _split_expand(self, G: Group):
     """The reflection of the mirror merge's expansion: a flip then a split."""
-    (merge, _), (flip, _) = self.mirror(**vars(self)).expand(G, pos)
-    return ((GFlip(G.inv(flip.g), not flip.from_left), pos), (merge.mirror(**vars(merge)), pos))
+    merge, flip = self.mirror(**vars(self)).expand(G)
+    return (GFlip(G.inv(flip.g), not flip.from_left), merge.mirror(**vars(merge)))
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,8 @@ class T2MergeRR:
     def cod(self, G: Group) -> GObj:
         return (_L(G.inv(G.mul(self.t, self.s))),)
 
-    def expand(self, G: Group, pos: int):
-        return ((VMergeR(self.s, self.t), pos), (GFlip(G.mul(self.t, self.s), False), pos))
+    def expand(self, G: Group):
+        return (VMergeR(self.s, self.t), GFlip(G.mul(self.t, self.s), False))
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,8 @@ class T2MergeLL:
     def cod(self, G: Group) -> GObj:
         return (_R(G.inv(G.mul(self.s, self.t))),)
 
-    def expand(self, G: Group, pos: int):
-        return ((VMergeL(self.s, self.t), pos), (GFlip(G.mul(self.s, self.t), True), pos))
+    def expand(self, G: Group):
+        return (VMergeL(self.s, self.t), GFlip(G.mul(self.s, self.t), True))
 
 
 T2SplitLL = mirrored(
@@ -227,9 +224,9 @@ GLayer = tuple[GGenerator, int]
 _MACROS = (T2SplitLL, T2MergeRR, T2SplitRR, T2MergeLL)
 
 
-def _expand(G: Group, gen: GGenerator, pos: int) -> tuple[GLayer, ...]:
-    """A macro's layers, or the layer itself."""
-    return gen.expand(G, pos) if isinstance(gen, _MACROS) else ((gen, pos),)
+def _expand(G: Group, gen: GGenerator) -> tuple[GGenerator, ...]:
+    """A macro's generators, each at the macro's position, or the generator itself."""
+    return gen.expand(G) if isinstance(gen, _MACROS) else (gen,)
 
 
 @dataclass(frozen=True)
@@ -239,49 +236,28 @@ class GDiagram:
     layers: tuple[GLayer, ...]
 
     def expanded(self) -> "GDiagram":
-        layers = tuple(part for gen, pos in self.layers for part in _expand(self.group, gen, pos))
+        layers = tuple((part, pos) for gen, pos in self.layers for part in _expand(self.group, gen))
         return GDiagram(self.group, self.source, layers)
 
 
-def apply_glayer(G: Group, obj: GObj, gen: GGenerator, pos: int, layer: int | None = None) -> GObj:
-    dom = gen.dom(G)
-    n = len(dom)
-    if pos < 0 or pos + n > len(obj):
-        raise GDiagramError(
-            f"position {pos} with arity {n} in object of length {len(obj)}", layer
-        )
-    actual = obj[pos : pos + n]
-    if actual != dom:
-        raise GDiagramError(f"expected {dom!r}, found {actual!r}", layer)
-    return obj[:pos] + gen.cod(G) + obj[pos + n :]
-
-
-def gstates(d: GDiagram) -> list[GObj]:
-    out = [tuple(d.source)]
-    for i, (gen, pos) in enumerate(d.layers):
-        out.append(apply_glayer(d.group, out[-1], gen, pos, i))
-    return out
+def calculus(G: Group) -> Calculus:
+    """Networks over G as a sliced calculus: the winding of a gap is the
+    ordered product of the strands left of it, g for g L and g^-1 for g R."""
+    return Calculus(
+        lambda gen: (gen.dom(G), gen.cod(G)),
+        GDiagramError,
+        lambda dom, found, layer: GDiagramError(f"expected {dom!r}, found {found!r}", layer),
+        0,
+        lambda w, pt: G.mul(w, pt.g if pt.left else G.inv(pt.g)),
+    )
 
 
 def validate_gdiagram(d: GDiagram) -> GObj:
-    return gstates(d)[-1]
-
-
-def winding_of(G: Group, obj: GObj, gap: int) -> int:
-    """Ordered product of strand labels left of the gap, leftmost first."""
-    if gap < 0 or gap > len(obj):
-        raise GDiagramError(f"gap {gap} in object of length {len(obj)}")
-    w = 0
-    for pt in obj[:gap]:
-        w = G.mul(w, pt.g if pt.left else G.inv(pt.g))
-    return w
+    return calculus(d.group).states(d.source, d.layers)[-1]
 
 
 def g_winding(d: GDiagram, layer: int, gap: int) -> int:
-    st = gstates(d)
-    if layer < 0 or layer >= len(st):
-        raise GDiagramError(f"layer {layer} of {len(st)} states")
-    return winding_of(d.group, st[layer], gap)
+    return calculus(d.group).winding_at(d.source, d.layers, layer, gap)
 
 
 def is_closed(d: GDiagram) -> bool:
@@ -291,25 +267,20 @@ def is_closed(d: GDiagram) -> bool:
 # -- evaluations ------------------------------------------------------------
 
 
-def _alpha_f_layer(G: Group, f: Cocycle1, obj: GObj, gen: GGenerator, pos: int) -> UElt | None:
-    """Twist contribution of one expanded layer under a one-cocycle."""
+def _alpha_f_layer(G: Group, f: Cocycle1, w: int, gen: GGenerator) -> UElt | None:
+    """Twist contribution under a one-cocycle of one expanded layer at winding w."""
     U = f.module
     if isinstance(gen, GCapLR):
         # apex co-oriented up; reference gap above the cap, legs removed
-        w = winding_of(G, obj, pos)
         return U.act(w, f(gen.g))
     if isinstance(gen, GCupRL):
         # apex co-oriented up; reference gap between the created legs
-        w = G.mul(winding_of(G, obj, pos), G.inv(gen.g))
-        return U.neg(U.act(w, f(gen.g)))
+        return U.neg(U.act(G.mul(w, G.inv(gen.g)), f(gen.g)))
     if isinstance(gen, GFlip):
-        new = G.inv(gen.g)
         if gen.from_left:
             # new co-orientation points right: gap right of the strand
-            w = G.mul(winding_of(G, obj, pos), gen.g)
-        else:
-            w = winding_of(G, obj, pos)
-        return U.neg(U.act(w, f(new)))
+            w = G.mul(w, gen.g)
+        return U.neg(U.act(w, f(G.inv(gen.g))))
     return None
 
 
@@ -318,12 +289,11 @@ def _alpha_f_layer(G: Group, f: Cocycle1, obj: GObj, gen: GGenerator, pos: int) 
 _C_SIGNS = signed_pairs({VMergeL: 1, VMergeR: 1, GCupLR: -1, GCupRL: -1})
 
 
-def _alpha_c_layer(G: Group, c: Cocycle2, obj: GObj, gen: GGenerator, pos: int) -> UElt | None:
-    """Twist contribution of one expanded layer under a two-cocycle."""
+def _alpha_c_layer(G: Group, c: Cocycle2, w: int, gen: GGenerator) -> UElt | None:
+    """Twist contribution under a two-cocycle of one expanded layer at winding w."""
     sign = _C_SIGNS.get(type(gen))
     if sign is None:
         return None
-    w = winding_of(G, obj, pos)
     if isinstance(gen, (VMergeL, VSplitL)):
         value = c(gen.s, gen.t)
     elif isinstance(gen, (VMergeR, VSplitR)):
@@ -337,25 +307,22 @@ def _alpha_c_layer(G: Group, c: Cocycle2, obj: GObj, gen: GGenerator, pos: int) 
 
 
 def _evaluate(d: GDiagram, U: GModule, terms) -> UElt:
-    """Sum over dots of the label twisted by its winding, plus term(G, z, obj,
-    gen, pos) for each (term, z) in terms on every layer of the expansion.
+    """Sum over dots of the label twisted by its winding, plus term(G, z, w,
+    gen) for each (term, z) in terms on every generator of the expansion.
 
-    Macros expand in place, so an error names the layer of d, not of the
-    expansion.
+    A macro is applied whole and its generators all sit at its position, so
+    they share its winding, and an error names the layer of d.
     """
     G = d.group
     total = U.zero()
-    obj = tuple(d.source)
-    for i, (macro, at) in enumerate(d.layers):
-        for gen, pos in _expand(G, macro, at):
-            nxt = apply_glayer(G, obj, gen, pos, i)
+    for w, macro in calculus(G).walk(d.source, d.layers):
+        for gen in _expand(G, macro):
             if isinstance(gen, GDot):
-                total = U.add(total, U.act(winding_of(G, obj, pos), U.reduce(gen.u)))
+                total = U.add(total, U.act(w, U.reduce(gen.u)))
             for term, z in terms:
-                piece = term(G, z, obj, gen, pos)
+                piece = term(G, z, w, gen)
                 if piece is not None:
                     total = U.add(total, piece)
-            obj = nxt
     return total
 
 

@@ -3,36 +3,24 @@
 One horizontal band per layer; additive strands are thin black lines with an
 arrowhead tick showing orientation, multiplicative strands are thicker red
 lines with a co-orientation tick, dots are labelled circles.  Output is
-deterministic: identical input and options give byte-identical text.
+deterministic: identical input gives byte-identical text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from html import escape
 
 from . import affine as af
-from .groupnet.diagrams import GDiagram, gstates
+from .groupnet.diagrams import GDiagram, calculus
 
-
-@dataclass(frozen=True)
-class RenderOptions:
-    layer_height: float = 48.0
-    strand_gap: float = 42.0
-    font_size: float = 11.0
-    margin: float = 24.0
-    colors: dict = field(
-        default_factory=lambda: {
-            "X": "#000000",
-            "Y": "#cc2222",
-            "G": "#225599",
-            "dot": "#000000",
-        }
-    )
-
-    def __post_init__(self):
-        if self.layer_height <= 0 or self.strand_gap <= 0 or self.font_size <= 0:
-            raise ValueError("render dimensions must be positive")
+LAYER_HEIGHT = 48.0
+STRAND_GAP = 42.0
+FONT_SIZE = 11.0
+MARGIN = 24.0
+X_STROKE = ("#000000", 1.2)
+Y_STROKE = ("#cc2222", 2.2)
+G_STROKE = ("#225599", 1.4)
+DOT_COLOR = "#000000"
 
 
 def _fmt(x: float) -> str:
@@ -73,66 +61,58 @@ def _point_label(pt: af.Pt) -> str:
     return f"{pt.kind.value}{pt.weight}"
 
 
-def to_svg(d, opts: RenderOptions | None = None) -> str:
+def to_svg(d) -> str:
     """Render an affine diagram or a group network to SVG text."""
-    opts = opts or RenderOptions()
     if isinstance(d, GDiagram):
-        G, g_stroke = d.group, (opts.colors["G"], 1.4)
         return _svg(
-            opts,
-            gstates(d),
-            d.layers,
-            arity=lambda gen: (len(gen.dom(G)), len(gen.cod(G))),
-            stroke=lambda pt: g_stroke,
+            calculus(d.group),
+            d,
+            stroke=lambda pt: G_STROKE,
             label=repr,
             label_dx=8,
             dot_label=lambda gen: str(gen.u),
         )
-    x_stroke, y_stroke = (opts.colors["X"], 1.2), (opts.colors["Y"], 2.2)
     return _svg(
-        opts,
-        af.states(d),
-        d.layers,
-        arity=lambda gen: (len(gen.dom()), len(gen.cod())),
-        stroke=lambda pt: x_stroke if pt.kind in (af.Kind.XP, af.Kind.XM) else y_stroke,
+        af.AFFINE,
+        d,
+        stroke=lambda pt: X_STROKE if pt.kind.additive else Y_STROKE,
         label=_point_label,
         label_dx=10,
     )
 
 
-def _band_positions(n: int, opts: RenderOptions) -> list[float]:
-    return [opts.margin + opts.strand_gap * (i + 0.5) for i in range(n)]
+def _band_positions(n: int) -> list[float]:
+    return [MARGIN + STRAND_GAP * (i + 0.5) for i in range(n)]
 
 
-def _svg(
-    opts: RenderOptions, sts, layers, *, arity, stroke, label, label_dx, dot_label=None
-) -> str:
-    """One band per layer over the states sts; a layer of arity (0, 0) is a dot.
+def _svg(calc, d, *, stroke, label, label_dx, dot_label=None) -> str:
+    """One band per layer of d over its states in calc; a layer of arity (0, 0) is a dot.
 
-    arity(gen) gives (len(dom), len(cod)); stroke(pt) gives the color and width
-    of a strand; label(pt) names a boundary point, drawn label_dx left of its
-    strand; dot_label(gen), when given, writes next to each dot.
+    stroke(pt) gives the color and width of a strand; label(pt) names a
+    boundary point, drawn label_dx left of its strand; dot_label(gen), when
+    given, writes next to each dot.
     """
+    sts = calc.states(d.source, d.layers)
     canvas = _Canvas()
-    height = opts.margin * 2 + opts.layer_height * max(1, len(layers))
-    width = opts.margin * 2 + opts.strand_gap * max(1, max(len(s) for s in sts))
-    y = height - opts.margin
+    height = MARGIN * 2 + LAYER_HEIGHT * max(1, len(d.layers))
+    width = MARGIN * 2 + STRAND_GAP * max(1, max(len(s) for s in sts))
+    y = height - MARGIN
 
-    for li, (gen, pos) in enumerate(layers):
+    for li, (gen, pos) in enumerate(d.layers):
         lower, upper = sts[li], sts[li + 1]
-        y0, y1 = y - opts.layer_height * li, y - opts.layer_height * (li + 1)
-        xs0, xs1 = _band_positions(len(lower), opts), _band_positions(len(upper), opts)
-        ndom, ncod = arity(gen)
+        y0, y1 = y - LAYER_HEIGHT * li, y - LAYER_HEIGHT * (li + 1)
+        xs0, xs1 = _band_positions(len(lower)), _band_positions(len(upper))
+        ndom, ncod = map(len, calc.boundary(gen))
         ymid = (y0 + y1) / 2
         for i in range(pos):
             canvas.line(xs0[i], y0, xs1[i], y1, stroke(lower[i]))
         for i in range(pos + ndom, len(lower)):
             canvas.line(xs0[i], y0, xs1[i - ndom + ncod], y1, stroke(lower[i]))
         if not (ndom or ncod):
-            x = opts.margin + opts.strand_gap * pos
-            canvas.circle(x, ymid, 3.0, opts.colors["dot"])
+            x = MARGIN + STRAND_GAP * pos
+            canvas.circle(x, ymid, 3.0, DOT_COLOR)
             if dot_label is not None:
-                canvas.text(x + 5, ymid - 4, dot_label(gen), opts.font_size)
+                canvas.text(x + 5, ymid - 4, dot_label(gen), FONT_SIZE)
             continue
         span = [xs0[pos + k] for k in range(ndom)] + [xs1[pos + k] for k in range(ncod)]
         mx = sum(span) / len(span)
@@ -140,17 +120,17 @@ def _svg(
             canvas.path([(xs0[pos + k], y0), (mx, ymid)], stroke(lower[pos + k]))
         for k in range(ncod):
             canvas.path([(mx, ymid), (xs1[pos + k], y1)], stroke(upper[pos + k]))
-    if not layers:
-        xs = _band_positions(len(sts[0]), opts)
+    if not d.layers:
+        xs = _band_positions(len(sts[0]))
         for i, pt in enumerate(sts[0]):
-            canvas.line(xs[i], y, xs[i], y - opts.layer_height, stroke(pt))
+            canvas.line(xs[i], y, xs[i], y - LAYER_HEIGHT, stroke(pt))
 
-    xs_bot = _band_positions(len(sts[0]), opts)
+    xs_bot = _band_positions(len(sts[0]))
     for i, pt in enumerate(sts[0]):
-        canvas.text(xs_bot[i] - label_dx, height - 6, label(pt), opts.font_size)
-    xs_top = _band_positions(len(sts[-1]), opts)
+        canvas.text(xs_bot[i] - label_dx, height - 6, label(pt), FONT_SIZE)
+    xs_top = _band_positions(len(sts[-1]))
     for i, pt in enumerate(sts[-1]):
-        canvas.text(xs_top[i] - label_dx, opts.margin - 8, label(pt), opts.font_size)
+        canvas.text(xs_top[i] - label_dx, MARGIN - 8, label(pt), FONT_SIZE)
 
     body = "\n".join(canvas.elements)
     return (

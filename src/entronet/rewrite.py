@@ -362,30 +362,27 @@ def reduction_layers(obj: af.Obj) -> tuple[Layer, ...]:
     additive or multiplicative parts are created with weight 0 and 1 lines.
     """
     layers: list[Layer] = []
-    cur = list(obj)
+    cur = tuple(obj)
 
     def emit(gen: af.Generator, pos: int) -> None:
         nonlocal cur
         layers.append((gen, pos))
-        cur = list(af.apply_layer(tuple(cur), gen, pos))
+        cur = af.apply_layer(cur, gen, pos)
 
-    # 1: bubble additive points left across multiplicative ones.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cur) - 1):
-            if cur[i].kind.multiplicative and cur[i + 1].kind.additive:
+    # 1: from left to right, each additive point crosses the multiplicative
+    # points before it; the n_add additive points already passed lie left of them.
+    n_add = 0
+    for j in range(len(cur)):
+        if cur[j].kind.additive:
+            for i in range(j - 1, n_add - 1, -1):
                 emit(XYCross(cur[i], cur[i + 1]), i)
-                changed = True
-                break
+            n_add += 1
 
-    # 2: reverse downward additive points.
-    i = 0
-    while i < len(cur):
+    # 2: reverse downward additive points; each gadget keeps the length.
+    for i in range(len(cur)):
         if cur[i].kind is Kind.XM:
             for gen, pos in _kill_xminus(i, cur[i].weight):
                 emit(gen, pos)
-        i += 1
 
     # 3: ensure at least one additive point, then left-fold.
     if not cur or cur[0].kind.multiplicative:
@@ -393,17 +390,13 @@ def reduction_layers(obj: af.Obj) -> tuple[Layer, ...]:
         for gen, pos in _kill_xminus(1, Fraction(0)):
             emit(gen, pos)
         emit(AddMerge(Fraction(0), Fraction(0)), 0)
-    n_add = sum(1 for pt in cur if pt.kind.additive)
-    while n_add > 1:
+    for _ in range(sum(pt.kind.additive for pt in cur) - 1):
         emit(AddMerge(cur[0].weight, cur[1].weight), 0)
-        n_add -= 1
 
     # 4: reverse right co-orientations.
-    i = 0
-    while i < len(cur):
+    for i in range(len(cur)):
         if cur[i].kind is Kind.YM:
             emit(CoorientRev(cur[i].weight, False), i)
-        i += 1
 
     # 5: ensure at least one multiplicative point, then left-fold.
     if len(cur) == 1:

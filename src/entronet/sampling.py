@@ -38,6 +38,7 @@ from .groupnet.diagrams import (
     VMergeR,
     VSplitL,
     VSplitR,
+    calculus,
 )
 from .groupnet.groups import GModule, Group
 from .jspace import EntropyScalar, PrimeVector, symbol
@@ -225,15 +226,14 @@ def random_closed_gdiagram(
 ) -> GDiagram:
     """A random closed diagram: grow from the empty object, then close up."""
     G = group
+    apply = calculus(G).apply
     layers: list = []
     cur: tuple[GPt, ...] = ()
 
     def emit(gen, pos):
         nonlocal cur
-        from .groupnet.diagrams import apply_glayer
-
         layers.append((gen, pos))
-        cur = apply_glayer(G, cur, gen, pos)
+        cur = apply(cur, gen, pos)
 
     for _ in range(grow_layers):
         choices = []

@@ -388,6 +388,37 @@ def test_size_bound():
         is_coboundary2(Cocycle2(GModule.trivial(G, (2,)), ((((0,),) * 34),) * 34))
 
 
+_REJECTED_REPRESENTATIVES = """
+from entronet.groupnet import cohomology
+from entronet.groupnet.groups import GModule, Group
+
+G = Group.cyclic(2)
+U = GModule.trivial(G, (2,))
+for degree, name in ((1, "verify_cocycle1"), (2, "verify_cocycle2")):
+    setattr(cohomology, name, lambda rep: False)
+    try:
+        cohomology.h_solver(G, U, degree)
+    except RuntimeError as exc:
+        print("refused:", exc)
+    else:
+        raise SystemExit(f"h_solver returned unchecked degree-{degree} representatives")
+"""
+
+
+def test_solver_self_check_without_asserts():
+    """The solver checks its representatives also under ``python -O``."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-O", "-c", _REJECTED_REPRESENTATIVES],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr + run.stdout
+    assert run.stdout.count("refused:") == 2
+
+
 # -- oracles: sympy normal forms, exhaustive search, closed forms ----------------
 
 

@@ -3,8 +3,8 @@
 A refactor that keeps behaviour keeps every hash below: the sampled affine
 diagrams, their exact values, the SVG text of both diagram kinds, the four
 group-network evaluations, the random `.net` sources, the rewrite sites, the
-sites every rule matches and what it leaves there, and the printed normal
-forms.  The seeds are the defaults (ENTRONET_SEED unset).
+sites every rule matches and what it leaves there, the printed normal forms
+and the layers that reduce seeded objects to their weight.  The seeds are the defaults (ENTRONET_SEED unset).
 """
 
 import copy
@@ -29,6 +29,7 @@ from entronet.groupnet.groups import GModule, Group
 from entronet.sampling import (
     random_closed_gdiagram,
     random_diagram,
+    random_object,
     random_rule_site,
     random_source,
     seeded_rng,
@@ -176,6 +177,13 @@ def test_printed_normal_forms(draws):
     assert _sha(texts) == PINS["normal_forms"]
 
 
+def test_reduction_layers():
+    """The layers normalize emits for objects of up to 40 interleaved X and Y points."""
+    rng = _seeded(53)
+    objs = [random_object(rng, max_points=40) for _ in range(60)]
+    assert _sha(rewrite.reduction_layers(obj) for obj in objs) == PINS["reduction_layers"]
+
+
 def test_criterion_5_stream():
     """The first 1000 draws of the boundary-theorem criterion's stream."""
     rng = _seeded(5)
@@ -231,4 +239,5 @@ PINS = {
     "sources": "a42b538d439af95b",
     "rule_sites": "0b62e1354f2f1323",
     "normal_forms": "fef25aad1bfbe447",
+    "reduction_layers": "c80ce946f2ca0c75",
 }

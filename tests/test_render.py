@@ -1,8 +1,6 @@
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
-import pytest
-
 from entronet import affine as af
 from entronet import render
 from entronet.groupnet.diagrams import GCapLR, GCupLR, GDiagram
@@ -68,11 +66,6 @@ def test_element_count_tracks_layers():
         tags = _elements(render.to_svg(d))
         assert tags.count("path") == 3 * (n - 1)
         assert tags.count("text") == n + 1
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        render.RenderOptions(layer_height=0)
 
 
 def test_golden_small_fold():
