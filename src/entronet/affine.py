@@ -485,24 +485,27 @@ def _dot_term(mode: str, w: Fraction, gen: Generator):
     return None
 
 
-def _fold(d: Diagram, term):
-    """Sum of term(mode, w, gen) over the layers, w the winding at each layer."""
+def j_invariant(d: Diagram):
+    """Evaluation of the diagram: prime vector, entropy scalar, or float."""
     total = _zero_value(d.mode)
     for w, gen in AFFINE.walk(d.source, d.layers):
-        piece = term(d.mode, w, gen)
+        piece = layer_contribution(d.mode, w, gen)
         if piece is not None:
             total = total + piece
     return total
 
 
-def j_invariant(d: Diagram):
-    """Evaluation of the diagram: prime vector, entropy scalar, or float."""
-    return _fold(d, layer_contribution)
-
-
 def dot_contribution(d: Diagram):
-    """Winding-scaled sum of dot labels alone (the non-boundary part)."""
-    return _fold(d, _dot_term)
+    """Winding-scaled sum of dot labels alone (the non-boundary part).
+
+    Only dots need a winding: the layers are checked first, then each dot's
+    winding is found in the object below it, in layer order.
+    """
+    total = _zero_value(d.mode)
+    for obj, (gen, pos) in zip(AFFINE.states(d.source, d.layers), d.layers):
+        if isinstance(gen, Dot):
+            total = total + _dot_term(d.mode, AFFINE.winding(obj, pos), gen)
+    return total
 
 
 def values_equal(mode: str, x, y, tol: float = FLOAT_TOL) -> bool:

@@ -24,6 +24,7 @@ exhaustive enumeration.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -142,20 +143,30 @@ def coboundary1(module: GModule, u: UElt) -> Cocycle1:
 
 
 def coboundary2(module: GModule, b) -> Cocycle2:
-    """d(b)(s,t) = b(s) + s(b(t)) - b(st) for a normalized 1-cochain b."""
+    """d(b)(s,t) = b(s) + s(b(t)) - b(st) for a normalized 1-cochain b.
+
+    Each value is computed in one pass over plain integers and reduced once,
+    coordinate k as (b(s)[k] + sum_j mat_s[k][j] b(t)[j] - b(st)[k]) mod m_k.
+    This is exact because every action matrix is well-defined modulo the
+    moduli, the same argument verify_cocycle2 relies on.
+    """
     G = module.group
     b = [module.reduce(x) for x in b]
     if len(b) != G.order:
         raise ValueError("need one cochain value per group element")
     if any(b[0]):
         raise ValueError("cochain must be normalized: b(1) = 0")
+    moduli = module.moduli
     rows = []
-    for s in G.elements():
-        row = []
-        for t in G.elements():
-            val = module.sub(module.add(b[s], module.act(s, b[t])), b[G.mul(s, t)])
-            row.append(val)
-        rows.append(tuple(row))
+    for s, ms in enumerate(G.table):
+        bs, mat = b[s], module.action_matrix(s)
+        rows.append(tuple(
+            tuple(
+                (x + sum(map(operator.mul, row, bt)) - y) % m
+                for x, row, y, m in zip(bs, mat, b[st], moduli)
+            )
+            for bt, st in zip(b, ms)
+        ))
     return Cocycle2(module, tuple(rows))
 
 

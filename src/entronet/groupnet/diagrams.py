@@ -18,6 +18,7 @@ evaluation works on the expansion.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -267,20 +268,24 @@ def is_closed(d: GDiagram) -> bool:
 # -- evaluations ------------------------------------------------------------
 
 
-def _alpha_f_layer(G: Group, f: Cocycle1, w: int, gen: GGenerator) -> UElt | None:
-    """Twist contribution under a one-cocycle of one expanded layer at winding w."""
-    U = f.module
+# A piece of an evaluation is (sign, mat, u), standing for sign * mat u: the
+# module element u acted on by a group element, whose matrix is mat.
+
+
+def _alpha_f_layer(G: Group, f: Cocycle1, w: int, gen: GGenerator):
+    """Twist piece under a one-cocycle of one expanded layer at winding w."""
+    act = f.module.action
     if isinstance(gen, GCapLR):
         # apex co-oriented up; reference gap above the cap, legs removed
-        return U.act(w, f(gen.g))
+        return 1, act[w], f(gen.g)
     if isinstance(gen, GCupRL):
         # apex co-oriented up; reference gap between the created legs
-        return U.neg(U.act(G.mul(w, G.inv(gen.g)), f(gen.g)))
+        return -1, act[G.mul(w, G.inv(gen.g))], f(gen.g)
     if isinstance(gen, GFlip):
         if gen.from_left:
             # new co-orientation points right: gap right of the strand
             w = G.mul(w, gen.g)
-        return U.neg(U.act(w, f(G.inv(gen.g))))
+        return -1, act[w], f(G.inv(gen.g))
     return None
 
 
@@ -289,8 +294,8 @@ def _alpha_f_layer(G: Group, f: Cocycle1, w: int, gen: GGenerator) -> UElt | Non
 _C_SIGNS = signed_pairs({VMergeL: 1, VMergeR: 1, GCupLR: -1, GCupRL: -1})
 
 
-def _alpha_c_layer(G: Group, c: Cocycle2, w: int, gen: GGenerator) -> UElt | None:
-    """Twist contribution under a two-cocycle of one expanded layer at winding w."""
+def _alpha_c_layer(G: Group, c: Cocycle2, w: int, gen: GGenerator):
+    """Twist piece under a two-cocycle of one expanded layer at winding w."""
     sign = _C_SIGNS.get(type(gen))
     if sign is None:
         return None
@@ -302,28 +307,33 @@ def _alpha_c_layer(G: Group, c: Cocycle2, w: int, gen: GGenerator) -> UElt | Non
         value = c(gen.g, G.inv(gen.g))
         if isinstance(gen, (GCupRL, GCapRL)):
             w = G.mul(w, G.inv(gen.g))
-    piece = c.module.act(w, value)
-    return piece if sign > 0 else c.module.neg(piece)
+    return sign, c.module.action[w], value
 
 
 def _evaluate(d: GDiagram, U: GModule, terms) -> UElt:
-    """Sum over dots of the label twisted by its winding, plus term(G, z, w,
-    gen) for each (term, z) in terms on every generator of the expansion.
+    """Sum over dots of the label twisted by its winding, plus the piece
+    term(G, z, w, gen) for each (term, z) in terms on every generator of the
+    expansion.
 
     A macro is applied whole and its generators all sit at its position, so
-    they share its winding, and an error names the layer of d.
+    they share its winding, and an error names the layer of d.  The pieces
+    are summed as plain integers and reduced once: every action matrix is
+    well-defined modulo the moduli, so the sum is exact.
     """
     G = d.group
-    total = U.zero()
+    pieces = []
     for w, macro in calculus(G).walk(d.source, d.layers):
         for gen in _expand(G, macro):
             if isinstance(gen, GDot):
-                total = U.add(total, U.act(w, U.reduce(gen.u)))
+                pieces.append((1, U.action[w], U.reduce(gen.u)))
             for term, z in terms:
                 piece = term(G, z, w, gen)
                 if piece is not None:
-                    total = U.add(total, piece)
-    return total
+                    pieces.append(piece)
+    if not pieces:
+        return U.zero()
+    acted = [[sign * sum(map(operator.mul, row, u)) for row in mat] for sign, mat, u in pieces]
+    return tuple(sum(col) % m for col, m in zip(zip(*acted), U.moduli))
 
 
 def _check_cocycles(d: GDiagram, *cocycles) -> None:

@@ -170,8 +170,10 @@ class GModule:
             raise GroupValidationError("moduli must be positive")
         self.rank = len(self.moduli)
         if action is None:
-            eye = [[1 if i == j else 0 for j in range(self.rank)] for i in range(self.rank)]
-            action = {g: eye for g in group.elements()}
+            # The identity action is well-defined and a homomorphism: no check.
+            eye = self._eye()
+            self.action = {g: eye for g in group.elements()}
+            return
         self.action = {g: tuple(tuple(int(x) for x in row) for row in mat)
                        for g, mat in action.items()}
         if check:

@@ -245,11 +245,16 @@ class EntropyScalar:
     def is_zero(self) -> bool:
         return self.constant == 0 and self.logpart.is_zero()
 
+    # The constant is 0 for every value entropy_render builds, so the Fraction
+    # arithmetic on it is skipped wherever an operand's constant is 0.
+
     def __add__(self, other: "EntropyScalar") -> "EntropyScalar":
-        return EntropyScalar(self.constant + other.constant, self.logpart + other.logpart)
+        a, b = self.constant, other.constant
+        return EntropyScalar(a + b if a and b else a or b, self.logpart + other.logpart)
 
     def __sub__(self, other: "EntropyScalar") -> "EntropyScalar":
-        return EntropyScalar(self.constant - other.constant, self.logpart - other.logpart)
+        a, b = self.constant, other.constant
+        return EntropyScalar(a - b if b else a, self.logpart - other.logpart)
 
     def __neg__(self) -> "EntropyScalar":
         return EntropyScalar(-self.constant, -self.logpart)
@@ -257,7 +262,8 @@ class EntropyScalar:
     def scaled(self, c: Fraction) -> "EntropyScalar":
         if type(c) is not Fraction:
             c = Fraction(c)
-        return EntropyScalar(c * self.constant, self.logpart.scaled(c))
+        a = self.constant
+        return EntropyScalar(c * a if a else a, self.logpart.scaled(c))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EntropyScalar):

@@ -8,6 +8,7 @@ same order, as if it built every applicable move: one rational (two integers)
 per split and cup, and the cups' gap and orientations.  It keeps each move as
 a builder and its raw arguments, and builds only the move `rng.choice` picks,
 so a seed gives the same diagrams as eager building would.
+`random_closed_gdiagram` draws its growing moves the same way.
 """
 
 from __future__ import annotations
@@ -236,43 +237,45 @@ def random_closed_gdiagram(
         cur = apply(cur, gen, pos)
 
     for _ in range(grow_layers):
+        # each move as (build, args, position); only the chosen one is built
         choices = []
         g = rng.randrange(G.order)
         gap = rng.randint(0, len(cur))
-        choices.append((GCupLR(g), gap))
-        choices.append((GCupRL(g), gap))
+        choices.append((GCupLR, (g,), gap))
+        choices.append((GCupRL, (g,), gap))
         if allow_dots and module is not None and rng.random() < 0.3:
             u = module.reduce(tuple(rng.randrange(m) for m in module.moduli))
-            choices.append((GDot(u), gap))
+            choices.append((GDot, (u,), gap))
         for i, pt in enumerate(cur):
-            choices.append((GFlip(pt.g, pt.left), i))
+            choices.append((GFlip, (pt.g, pt.left), i))
             if pt.left:
                 s = rng.randrange(G.order)
                 t = G.mul(G.inv(s), pt.g)
-                choices.append((VSplitL(s, t), i))
+                choices.append((VSplitL, (s, t), i))
                 s2 = rng.randrange(G.order)
                 t2 = G.mul(G.inv(s2), G.inv(pt.g))  # t*s = g^-1
-                choices.append((T2SplitRR(t2, s2), i))
+                choices.append((T2SplitRR, (t2, s2), i))
             else:
                 s = rng.randrange(G.order)
                 t = G.mul(pt.g, G.inv(s))
-                choices.append((VSplitR(s, t), i))
+                choices.append((VSplitR, (s, t), i))
                 s2 = rng.randrange(G.order)
                 t2 = G.mul(G.inv(s2), G.inv(pt.g))  # s*t = g^-1
-                choices.append((T2SplitLL(s2, t2), i))
+                choices.append((T2SplitLL, (s2, t2), i))
         for i in range(len(cur) - 1):
             p, q = cur[i], cur[i + 1]
             if p.left and q.left:
-                choices.append((VMergeL(p.g, q.g), i))
-                choices.append((T2MergeLL(p.g, q.g), i))
+                choices.append((VMergeL, (p.g, q.g), i))
+                choices.append((T2MergeLL, (p.g, q.g), i))
             if not p.left and not q.left:
-                choices.append((VMergeR(p.g, q.g), i))
-                choices.append((T2MergeRR(p.g, q.g), i))
+                choices.append((VMergeR, (p.g, q.g), i))
+                choices.append((T2MergeRR, (p.g, q.g), i))
             if p.g == q.g and p.left and not q.left:
-                choices.append((GCapLR(p.g), i))
+                choices.append((GCapLR, (p.g,), i))
             if p.g == q.g and not p.left and q.left:
-                choices.append((GCapRL(p.g), i))
-        emit(*rng.choice(choices))
+                choices.append((GCapRL, (p.g,), i))
+        build, args, pos = rng.choice(choices)
+        emit(build(*args), pos)
 
     # close: flip everything left-co-oriented, merge down to one strand, kill it
     while len(cur) > 1:

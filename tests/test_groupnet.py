@@ -25,6 +25,7 @@ from entronet.groupnet.diagrams import (
     VMergeR,
     VSplitL,
     VSplitR,
+    calculus,
     eval_alpha_c,
     eval_alpha_cf,
     eval_alpha_f,
@@ -33,7 +34,7 @@ from entronet.groupnet.diagrams import (
     is_closed,
     validate_gdiagram,
 )
-from entronet.groupnet.groups import GModule, Group
+from entronet.groupnet.groups import GModule, Group, GroupValidationError
 from entronet.sampling import (
     random_closed_gdiagram,
     random_normalized_cocycle,
@@ -442,3 +443,147 @@ def test_alpha_f_lollipop_side_is_irrelevant():
         d2 = GDiagram(G, (L(s),), left_loop)
         assert validate_gdiagram(d1) == validate_gdiagram(d2) == (R(sinv),)
         assert eval_alpha_f(d1, f) == eval_alpha_f(d2, f)
+
+
+# -- differential: the library's arithmetic against reduce-every-step references
+
+
+def _ref_coboundary2(U, b):
+    G = U.group
+    return tuple(
+        tuple(U.sub(U.add(b[s], U.act(s, b[t])), b[G.mul(s, t)]) for t in G.elements())
+        for s in G.elements()
+    )
+
+
+def _ref_winding(G, obj, pos):
+    w = 0
+    for pt in obj[:pos]:
+        w = G.mul(w, pt.g if pt.left else G.inv(pt.g))
+    return w
+
+
+_REF_C_SIGNS = {
+    VMergeL: 1, VSplitL: -1, VMergeR: 1, VSplitR: -1,
+    GCupLR: -1, GCapLR: 1, GCupRL: -1, GCapRL: 1,
+}
+
+
+def _ref_c_piece(G, c, w, gen):
+    U, sign = c.module, _REF_C_SIGNS.get(type(gen))
+    if sign is None:
+        return U.zero()
+    if isinstance(gen, (VMergeL, VSplitL)):
+        value = c(gen.s, gen.t)
+    elif isinstance(gen, (VMergeR, VSplitR)):
+        value = c(G.inv(gen.s), G.inv(gen.t))
+    else:
+        value = c(gen.g, G.inv(gen.g))
+        if isinstance(gen, (GCupRL, GCapRL)):
+            w = G.mul(w, G.inv(gen.g))
+    piece = U.act(w, value)
+    return piece if sign > 0 else U.neg(piece)
+
+
+def _ref_f_piece(G, f, w, gen):
+    U = f.module
+    if isinstance(gen, GCapLR):
+        return U.act(w, f(gen.g))
+    if isinstance(gen, GCupRL):
+        return U.neg(U.act(G.mul(w, G.inv(gen.g)), f(gen.g)))
+    if isinstance(gen, GFlip):
+        if gen.from_left:
+            w = G.mul(w, gen.g)
+        return U.neg(U.act(w, f(G.inv(gen.g))))
+    return U.zero()
+
+
+def _ref_alpha(d, U, c=None, f=None):
+    """Dots plus the c and f pieces, each acted, negated and added with a reduction."""
+    G = d.group
+    total = U.zero()
+    for obj, (macro, pos) in zip(calculus(G).states(d.source, d.layers), d.layers):
+        w = _ref_winding(G, obj, pos)
+        for gen in macro.expand(G) if hasattr(macro, "expand") else (macro,):
+            if isinstance(gen, GDot):
+                total = U.add(total, U.act(w, U.reduce(gen.u)))
+            if c is not None:
+                total = U.add(total, _ref_c_piece(G, c, w, gen))
+            if f is not None:
+                total = U.add(total, _ref_f_piece(G, f, w, gen))
+    return total
+
+
+def _unreduced_dots(rng, d, U):
+    """d with each dot label moved by random multiples of the moduli, some negative."""
+    layers = tuple(
+        (GDot(tuple(x + rng.randint(-3, 3) * m for x, m in zip(gen.u, U.moduli))), pos)
+        if isinstance(gen, GDot) else (gen, pos)
+        for gen, pos in d.layers
+    )
+    return GDiagram(d.group, d.source, layers)
+
+
+def _random_table(rng, U):
+    """A normalized 2-cochain with arbitrary values, not only coboundaries."""
+    n = U.group.order
+    return Cocycle2(U, tuple(
+        tuple(
+            U.zero() if 0 in (s, t) else tuple(rng.randrange(m) for m in U.moduli)
+            for t in range(n)
+        )
+        for s in range(n)
+    ))
+
+
+def _differential_modules():
+    """(module for c, module for f): scaling on Aff1(F3), and Z/4 x Z/2 under C2
+    acting by [[1, 2], [0, 1]], with f once over a module of the same moduli
+    but the identity action."""
+    _, U3, _, _ = aff3()
+    C2 = Group.cyclic(2)
+    twisted = GModule(C2, (4, 2), {0: [[1, 0], [0, 1]], 1: [[1, 2], [0, 1]]})
+    return [(U3, U3), (twisted, twisted), (twisted, GModule.trivial(C2, (4, 2)))]
+
+
+def test_arithmetic_matches_reduce_every_step_references():
+    rng = seeded_rng(205)
+    checked = 0
+    for U, V in _differential_modules():
+        G = U.group
+        for k in range(12):
+            b = [U.zero()] + [
+                tuple(rng.randint(-9, 9) for _ in U.moduli) for _ in range(G.order - 1)
+            ]
+            db = coboundary2(U, b)
+            assert db.values == _ref_coboundary2(U, [U.reduce(x) for x in b])
+            f = Cocycle1(V, tuple(tuple(rng.randrange(m) for m in V.moduli) for _ in G.elements()))
+            for c in (db, _random_table(rng, U)):
+                d = random_closed_gdiagram(rng, G, grow_layers=k, allow_dots=True, module=U)
+                d = _unreduced_dots(rng, d, U)
+                for n in range(len(d.layers) + 1):
+                    p = GDiagram(G, d.source, d.layers[:n])
+                    assert eval_alpha_u(p, U) == _ref_alpha(p, U)
+                    assert eval_alpha_c(p, c) == _ref_alpha(p, U, c=c)
+                    assert eval_alpha_f(p, f) == _ref_alpha(p, V, f=f)
+                    assert eval_alpha_cf(p, c, f) == _ref_alpha(p, U, c=c, f=f)
+                    checked += 1
+    assert checked > 500
+
+
+def test_trivial_module_is_the_checked_identity_action():
+    rng = seeded_rng(206)
+    for G, moduli in ((Group.cyclic(5), (6,)), (Group.aff1_mod_p(3), (4, 3))):
+        U = GModule.trivial(G, moduli)
+        eye = [[int(i == j) for j in range(len(moduli))] for i in range(len(moduli))]
+        checked = GModule(G, moduli, {g: eye for g in G.elements()}, check=True)
+        assert U.action == checked.action and U.moduli == checked.moduli
+        for _ in range(10):
+            b = [U.zero()] + [
+                tuple(rng.randrange(m) for m in moduli) for _ in range(G.order - 1)
+            ]
+            assert coboundary2(U, b).values == coboundary2(checked, b).values
+            d = random_closed_gdiagram(rng, G, grow_layers=6, allow_dots=True, module=U)
+            assert eval_alpha_u(d, U) == eval_alpha_u(d, checked)
+    with pytest.raises(GroupValidationError):
+        GModule.trivial(Group.cyclic(3), (0,))

@@ -17,7 +17,13 @@ import pytest
 from entronet import affine as af
 from entronet import dsl, render, rewrite
 from entronet.groupnet.catalog import carry
-from entronet.groupnet.cohomology import Cocycle1, coboundary1, coboundary2, verify_cocycle1
+from entronet.groupnet.cohomology import (
+    Cocycle1,
+    coboundary1,
+    coboundary2,
+    h_solver,
+    verify_cocycle1,
+)
 from entronet.groupnet.diagrams import (
     GDiagram,
     eval_alpha_c,
@@ -29,6 +35,8 @@ from entronet.groupnet.groups import GModule, Group
 from entronet.sampling import (
     random_closed_gdiagram,
     random_diagram,
+    random_gmodule,
+    random_normalized_cocycle,
     random_object,
     random_rule_site,
     random_source,
@@ -189,6 +197,27 @@ def test_criterion_5_stream():
     rng = _seeded(5)
     ds = [random_diagram(rng) for _ in range(1000)]
     assert hashlib.sha256(repr(ds).encode()).hexdigest()[:16] == "5513f133105a73cd"
+
+
+def test_criterion_8_stream():
+    """The first 150 draws per group of the closed-vanishing criterion's stream:
+    its groups and its interleaving of solver representatives, each draw's
+    moduli, cocycle values and network layers."""
+    rng = _seeded(8)
+    groups = [Group.cyclic(n) for n in range(2, 9)] + [Group.aff1_mod_p(3)]
+    drawn = []
+    for G in groups:
+        reps = []
+        if G.order <= 6 and G.is_abelian():
+            _, reps = h_solver(G, GModule.trivial(G, (G.order,)), 2)
+        for i in range(150):
+            if reps and i % 3 == 0:
+                c = reps[i // 3 % len(reps)]
+            else:
+                c = random_normalized_cocycle(rng, random_gmodule(rng, G))
+            d = random_closed_gdiagram(rng, G, grow_layers=rng.randint(2, 9))
+            drawn.append((c.module.moduli, c.values, d.layers))
+    assert _sha(drawn) == "fe60d63f750a41f3"
 
 
 def test_boundary_memo_is_invisible(draws):
