@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from . import affine as af
 from .jspace import EntropyScalar, PrimeVector
@@ -316,6 +316,8 @@ class SourceFile:
 # ---------------------------------------------------------------------------
 # Parser.
 
+T = TypeVar("T")
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -346,6 +348,17 @@ class _Parser:
         if tok.kind == kind and (text is None or tok.text == text):
             return self.next()
         return None
+
+    def items(self, close: str, sep: str, item: Callable[[], T]) -> list[T]:
+        """Items parsed by `item`, each but the last followed by `sep`, up to
+        `close`; the opener is already read, and a trailing `sep` is allowed."""
+        out = []
+        while not self.accept("sym", close):
+            out.append(item())
+            if not self.accept("sym", sep):
+                self.expect("sym", close)
+                break
+        return out
 
     # -- scalars ------------------------------------------------------------
 
@@ -380,16 +393,12 @@ class _Parser:
 
     def parse_prime_vector(self) -> PrimeVector:
         self.expect("sym", "{")
-        coeffs: dict[int, Fraction] = {}
-        while not self.accept("sym", "}"):
-            p_tok = self.expect("int")
-            p = int(p_tok.text)
-            self.expect("sym", ":")
-            coeffs[p] = self.parse_rational()
-            if not self.accept("sym", ","):
-                self.expect("sym", "}")
-                break
-        return PrimeVector(coeffs)
+        return PrimeVector(dict(self.items("}", ",", self.parse_coefficient)))
+
+    def parse_coefficient(self) -> tuple[int, Fraction]:
+        p = int(self.expect("int").text)
+        self.expect("sym", ":")
+        return p, self.parse_rational()
 
     # -- declarations ---------------------------------------------------------
 
@@ -449,31 +458,24 @@ class _Parser:
         name_tok = self.expect("ident")
         args: list = []
         if self.accept("sym", "("):
-            while not self.accept("sym", ")"):
-                tok = self.peek()
-                if mode is None:
-                    args.append(self.parse_int())
-                elif tok.kind == "sym" and tok.text == "+":
-                    self.next()
-                    args.append("+")
-                elif (
-                    tok.kind == "sym"
-                    and tok.text == "-"
-                    and self.tokens[self.i + 1].kind != "int"
-                ):
-                    self.next()
-                    args.append("-")
-                else:
-                    args.append(self.parse_rational())
-                if not self.accept("sym", ","):
-                    self.expect("sym", ")")
-                    break
+            args = self.items(")", ",", self.parse_int if mode is None else self.parse_layer_arg)
         self.expect("sym", "@")
         pos = self.parse_int()
         payload: Optional[Payload] = None
         if name_tok.text == _DOT and mode is not None:
             payload = self.parse_payload(mode)
         return LayerSpec(name_tok.text, tuple(args), pos, payload, name_tok.line, name_tok.col)
+
+    def parse_layer_arg(self) -> Fraction | str:
+        """A rational, or a bare sign + or -; a - followed by an integer starts a rational."""
+        tok = self.peek()
+        if tok.kind == "sym" and tok.text == "+":
+            self.next()
+            return "+"
+        if tok.kind == "sym" and tok.text == "-" and self.tokens[self.i + 1].kind != "int":
+            self.next()
+            return "-"
+        return self.parse_rational()
 
     def parse_payload(self, mode: str) -> Payload:
         tok = self.peek()
@@ -504,13 +506,7 @@ class _Parser:
 
     def parse_layer_block(self, mode: Optional[str]) -> tuple[LayerSpec, ...]:
         self.expect("sym", "{")
-        layers = []
-        while not self.accept("sym", "}"):
-            layers.append(self.parse_layer(mode))
-            if not self.accept("sym", ";"):
-                self.expect("sym", "}")
-                break
-        return tuple(layers)
+        return tuple(self.items("}", ";", lambda: self.parse_layer(mode)))
 
     def parse_group(self) -> GroupDecl:
         head = self.expect("ident", "group")
@@ -538,20 +534,11 @@ class _Parser:
 
     def parse_int_matrix(self) -> tuple[tuple[int, ...], ...]:
         self.expect("sym", "[")
-        rows = []
-        while not self.accept("sym", "]"):
-            self.expect("sym", "[")
-            row = []
-            while not self.accept("sym", "]"):
-                row.append(self.parse_int())
-                if not self.accept("sym", ","):
-                    self.expect("sym", "]")
-                    break
-            rows.append(tuple(row))
-            if not self.accept("sym", ","):
-                self.expect("sym", "]")
-                break
-        return tuple(rows)
+        return tuple(self.items("]", ",", self.parse_int_row))
+
+    def parse_int_row(self) -> tuple[int, ...]:
+        self.expect("sym", "[")
+        return tuple(self.items("]", ",", self.parse_int))
 
     def parse_module(self) -> ModuleDecl:
         head = self.expect("ident", "module")
@@ -569,16 +556,13 @@ class _Parser:
         if self.peek().kind == "ident" and self.peek().text == "action":
             self.next()
             self.expect("sym", "{")
-            entries = []
-            while not self.accept("sym", "}"):
-                g = self.parse_int()
-                self.expect("sym", ":")
-                entries.append((g, self.parse_int_matrix()))
-                if not self.accept("sym", ";"):
-                    self.expect("sym", "}")
-                    break
-            action = tuple(sorted(entries))
+            action = tuple(sorted(self.items("}", ";", self.parse_action_entry)))
         return ModuleDecl(name, group, tuple(moduli), action, head.line, head.col)
+
+    def parse_action_entry(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        g = self.parse_int()
+        self.expect("sym", ":")
+        return g, self.parse_int_matrix()
 
     def parse_uelt(self) -> tuple[int, ...]:
         self.expect("sym", "(")
@@ -598,37 +582,32 @@ class _Parser:
         module = self.expect("ident").text
         self.expect("sym", "=")
         self.expect("sym", "{")
-        entries = []
-        while not self.accept("sym", "}"):
-            if degree == 2:
-                self.expect("sym", "(")
-                g = self.parse_int()
-                self.expect("sym", ",")
-                h = self.parse_int()
-                self.expect("sym", ")")
-                key: object = (g, h)
-            else:
-                key = self.parse_int()
-            self.expect("sym", ":")
-            entries.append((key, self.parse_uelt()))
-            if not self.accept("sym", ";"):
-                self.expect("sym", "}")
-                break
-        return CocycleDecl(degree, name, group, module, tuple(sorted(entries)), head.line, head.col)
+        entries = tuple(sorted(self.items("}", ";", lambda: self.parse_cocycle_entry(degree))))
+        return CocycleDecl(degree, name, group, module, entries, head.line, head.col)
+
+    def parse_cocycle_entry(self, degree: int) -> tuple[object, tuple[int, ...]]:
+        if degree == 2:
+            self.expect("sym", "(")
+            g = self.parse_int()
+            self.expect("sym", ",")
+            h = self.parse_int()
+            self.expect("sym", ")")
+            key: object = (g, h)
+        else:
+            key = self.parse_int()
+        self.expect("sym", ":")
+        return key, self.parse_uelt()
 
     def parse_gpoints(self) -> tuple[GPointSpec, ...]:
         self.expect("sym", "[")
-        pts = []
-        while not self.accept("sym", "]"):
-            g = self.parse_int()
-            side = self.expect("ident")
-            if side.text not in ("L", "R"):
-                self.fail("expected side L or R", side)
-            pts.append(GPointSpec(g, side.text == "L"))
-            if not self.accept("sym", ","):
-                self.expect("sym", "]")
-                break
-        return tuple(pts)
+        return tuple(self.items("]", ",", self.parse_gpoint))
+
+    def parse_gpoint(self) -> GPointSpec:
+        g = self.parse_int()
+        side = self.expect("ident")
+        if side.text not in ("L", "R"):
+            self.fail("expected side L or R", side)
+        return GPointSpec(g, side.text == "L")
 
     def parse_gdiagram(self) -> GDiagramDecl:
         head = self.expect("ident", "gdiagram")
@@ -652,10 +631,8 @@ def parse(text: str) -> SourceFile:
 
 
 def _format_payload(payload: Payload) -> str:
-    if isinstance(payload, PrimeVector):
+    if isinstance(payload, (PrimeVector, EntropyScalar)):
         return payload.to_text()
-    if isinstance(payload, EntropyScalar):
-        return f"{format_rational(payload.constant)} + {payload.logpart.to_text()}"
     return repr(float(payload))
 
 

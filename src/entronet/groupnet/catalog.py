@@ -54,7 +54,8 @@ class BoundedMonoidCocycle:
     """A 2-cochain on a commutative monoid, checkable on a bounded range.
 
     `multiplicative` selects whether the cocycle identity is
-    c(x,y)*c(x+y,z) == c(y,z)*c(x,y+z) or its additive form.
+    c(x,y)*c(x+y,z) == c(y,z)*c(x,y+z) or its additive form; `checked(x, y, z)`
+    says which triples of `elements` the bounded check covers.
     """
 
     add: Callable[[Hashable, Hashable], Hashable]
@@ -62,6 +63,7 @@ class BoundedMonoidCocycle:
     elements: tuple[Hashable, ...]
     multiplicative: bool = True
     tolerance: float = 0.0
+    checked: Callable[[Hashable, Hashable, Hashable], bool] = lambda x, y, z: True
 
     def __call__(self, x, y):
         return self.value(x, y)
@@ -81,32 +83,33 @@ class BoundedMonoidCocycle:
     def verify(self) -> bool:
         elems = self.elements
         return all(
-            self.check_identity(x, y, z) for x in elems for y in elems for z in elems
+            self.check_identity(x, y, z)
+            for x in elems
+            for y in elems
+            for z in elems
+            if self.checked(x, y, z)
         )
+
+
+def _bounded_sums(value: Callable[[int, int], Fraction], max_value: int) -> BoundedMonoidCocycle:
+    """A multiplicative cocycle on {0..max_value} under +, checked where sums stay in range."""
+    return BoundedMonoidCocycle(
+        lambda a, b: a + b,
+        value,
+        tuple(range(max_value + 1)),
+        checked=lambda x, y, z: x + y + z <= max_value,
+    )
 
 
 def binomial_cocycle(max_value: int) -> BoundedMonoidCocycle:
     """c(k1,k2) = C(k1+k2, k1) on {0..max_value}, checked where sums stay in range."""
     if max_value < 0:
         raise ValueError("range bound must be nonnegative")
-    ks = tuple(range(max_value + 1))
 
     def value(a: int, b: int) -> Fraction:
         return Fraction(comb(a + b, a))
 
-    cocycle = BoundedMonoidCocycle(lambda a, b: a + b, value, ks, multiplicative=True)
-
-    def verify() -> bool:
-        return all(
-            cocycle.check_identity(x, y, z)
-            for x in ks
-            for y in ks
-            for z in ks
-            if x + y + z <= max_value
-        )
-
-    object.__setattr__(cocycle, "verify", verify)
-    return cocycle
+    return _bounded_sums(value, max_value)
 
 
 def fontene_ward(g: Callable[[int], Fraction], max_value: int) -> BoundedMonoidCocycle:
@@ -121,20 +124,7 @@ def fontene_ward(g: Callable[[int], Fraction], max_value: int) -> BoundedMonoidC
     def value(a: int, b: int) -> Fraction:
         return f[a + b] / (f[a] * f[b])
 
-    ks = tuple(range(max_value + 1))
-    cocycle = BoundedMonoidCocycle(lambda a, b: a + b, value, ks, multiplicative=True)
-
-    def verify() -> bool:
-        return all(
-            cocycle.check_identity(x, y, z)
-            for x in ks
-            for y in ks
-            for z in ks
-            if x + y + z <= max_value
-        )
-
-    object.__setattr__(cocycle, "verify", verify)
-    return cocycle
+    return _bounded_sums(value, max_value)
 
 
 class ProbSpace:
@@ -170,21 +160,12 @@ def pmi_cocycle(space: ProbSpace) -> BoundedMonoidCocycle:
             raise ValueError("pmi requires events of positive joint mass")
         return math.log(float(pxy)) - math.log(float(px)) - math.log(float(py))
 
-    cocycle = BoundedMonoidCocycle(
-        lambda a, b: a & b, value, events, multiplicative=False, tolerance=1e-10
+    # x & y & z lies in both x & y and y & z, so its positive mass is theirs too
+    return BoundedMonoidCocycle(
+        lambda a, b: a & b,
+        value,
+        events,
+        multiplicative=False,
+        tolerance=1e-10,
+        checked=lambda x, y, z: space.mass(x & y & z) > 0,
     )
-
-    def verify() -> bool:
-        for x in events:
-            for y in events:
-                for z in events:
-                    if space.mass(x & y) == 0 or space.mass(y & z) == 0:
-                        continue
-                    if space.mass(x & y & z) == 0:
-                        continue
-                    if not cocycle.check_identity(x, y, z):
-                        return False
-        return True
-
-    object.__setattr__(cocycle, "verify", verify)
-    return cocycle

@@ -555,11 +555,9 @@ def is_coboundary2(c: Cocycle2) -> bool:
     return not _reduce(H, target, L)
 
 
-def h_exhaustive(G: Group, U: GModule, degree: int = 2):
-    """Brute-force H^degree for small cases: (order, element-order multiset)."""
-    n, r = G.order, U.rank
-    if degree != 2:
-        raise ValueError("exhaustive check implemented for degree 2 only")
+def h_exhaustive(G: Group, U: GModule):
+    """Brute-force H^2 for small cases: (order, element-order multiset)."""
+    n = G.order
     pairs = [(g, h) for g in range(1, n) for h in range(1, n)]
     space = U.size() ** len(pairs)
     if space > 2**20:

@@ -34,7 +34,7 @@ class Group:
     ``generators`` is the generating set Light's test picked, in index order.
     """
 
-    def __init__(self, table, names: tuple[str, ...] | None = None):
+    def __init__(self, table):
         try:
             tab = tuple(tuple(map(operator.index, row)) for row in table)
         except TypeError:
@@ -44,7 +44,6 @@ class Group:
             raise GroupValidationError("multiplication table must be square")
         self.table = tab
         self.order = n
-        self.names = names or tuple(f"g{i}" for i in range(n))
         self.generators = self._check_axioms()
         self.inverse = tuple(row.index(0) for row in tab)  # rows are permutations
 
@@ -124,7 +123,7 @@ class Group:
         if n < 1:
             raise GroupValidationError("cyclic group needs n >= 1")
         table = [tuple(range(i, n)) + tuple(range(i)) for i in range(n)]
-        return cls(table, names=tuple(str(i) for i in range(n)))
+        return cls(table)
 
     @classmethod
     def direct_product(cls, g: "Group", h: "Group") -> "Group":
@@ -132,8 +131,7 @@ class Group:
         table = [
             [x * m + y for x in grow for y in hrow] for grow in g.table for hrow in h.table
         ]
-        names = tuple(f"({a},{b})" for a in g.names for b in h.names)
-        return cls(table, names=names)
+        return cls(table)
 
     @classmethod
     def aff1_mod_p(cls, p: int) -> "Group":
@@ -147,8 +145,7 @@ class Group:
         table = [
             [index[((a1 + c1 * a2) % p, (c1 * c2) % p)] for a2, c2 in elems] for a1, c1 in elems
         ]
-        names = tuple(f"({a},{c})" for a, c in elems)
-        return cls(table, names=names)
+        return cls(table)
 
     @classmethod
     def from_table(cls, table) -> "Group":
@@ -162,8 +159,7 @@ def _reduce(u: UElt, moduli: tuple[int, ...]) -> UElt:
 class GModule:
     """Finite abelian group prod Z/m_i with a G-action by automorphisms."""
 
-    def __init__(self, group: Group, moduli, action: dict[int, list[list[int]]] | None = None,
-                 check: bool = True):
+    def __init__(self, group: Group, moduli, action: dict[int, list[list[int]]] | None = None):
         self.group = group
         self.moduli = tuple(int(m) for m in moduli)
         if any(m < 1 for m in self.moduli):
@@ -176,8 +172,7 @@ class GModule:
             return
         self.action = {g: tuple(tuple(int(x) for x in row) for row in mat)
                        for g, mat in action.items()}
-        if check:
-            self._check_action()
+        self._check_action()
 
     def _check_action(self) -> None:
         r = self.rank

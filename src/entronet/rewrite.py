@@ -4,9 +4,10 @@ Each rule matches a short window of layers at one strand position and
 replaces it by an equivalent window: boundary and evaluation are preserved
 exactly (asserted in debug runs).  Each rule is one row of `CATALOG`, and
 `sampling.random_rule_site` builds its test sites from the same rows.
-Normalization does not search this rule set; the canonical form is computed
-directly from the boundary and the evaluation, which determine the morphism.
-The rules exist to be tested.
+Normalization does not search this rule set; the canonical form is built
+from the boundary and the diagram's own dots, which determine the morphism
+(a dotless diagram's evaluation depends only on its boundary).  The rules
+exist to be tested.
 """
 
 from __future__ import annotations
@@ -413,14 +414,15 @@ def normalize(d: Diagram) -> Diagram:
     """Canonical two-stage diagram with the same boundary and evaluation.
 
     The skeleton reduces the source to its weight object and expands back to
-    the target.  A single dot in the leftmost gap between the two halves
-    carries whatever the skeleton's evaluation misses.  The dot is emitted
-    even when its label is zero, so every normal form has the same shape.
+    the target.  A single dot in the leftmost gap between the two halves,
+    where the winding is 1, carries d's dot contribution: by the boundary
+    theorem (acceptance criterion 5) a dotless diagram's evaluation depends
+    only on its boundary, so d and its skeleton differ by d's dots alone and
+    nothing needs evaluating or factoring.  The dot is emitted even when its
+    label is zero, so every normal form has the same shape.
     """
     src = tuple(d.source)
     tgt = af.validate(d)
     down = reduction_layers(src)
     up = af.inverse_layers(reduction_layers(tgt))
-    skeleton = Diagram(src, down + up, d.mode)
-    label = af.j_invariant(d) - af.j_invariant(skeleton)
-    return Diagram(src, down + ((Dot(label), 0),) + up, d.mode)
+    return Diagram(src, down + ((Dot(af.dot_contribution(d)), 0),) + up, d.mode)

@@ -222,10 +222,10 @@ def random_closed_gdiagram(
     rng: random.Random,
     group: Group,
     grow_layers: int = 8,
-    allow_dots: bool = False,
     module: GModule | None = None,
 ) -> GDiagram:
-    """A random closed diagram: grow from the empty object, then close up."""
+    """A random closed diagram: grow from the empty object, then close up.
+    Dots, labelled in `module`, are drawn only when a module is given."""
     G = group
     apply = calculus(G).apply
     layers: list = []
@@ -243,7 +243,7 @@ def random_closed_gdiagram(
         gap = rng.randint(0, len(cur))
         choices.append((GCupLR, (g,), gap))
         choices.append((GCupRL, (g,), gap))
-        if allow_dots and module is not None and rng.random() < 0.3:
+        if module is not None and rng.random() < 0.3:
             u = module.reduce(tuple(rng.randrange(m) for m in module.moduli))
             choices.append((GDot, (u,), gap))
         for i, pt in enumerate(cur):

@@ -364,3 +364,44 @@ def test_inverse_cancels():
         inv = af.inverse(d)
         assert af.validate(inv) == d.source
         assert af.j_invariant(af.compose(d, inv)) == PrimeVector()
+
+
+# -- evaluation against an affine-group fold -------------------------------------
+
+_FOLD_SIGNS = {af.AddMerge: 1, af.AddSplit: -1, af.AddMergeDual: -1, af.AddSplitDual: 1}
+
+
+def _y_product(obj, p):
+    """Product of the multiplicative weights left of p: c for Y+(c), 1/c for Y-(c)."""
+    out = F(1)
+    for pt in obj[:p]:
+        if pt.kind is af.Kind.YP:
+            out *= pt.weight
+        elif pt.kind is af.Kind.YM:
+            out /= pt.weight
+    return out
+
+
+def _affine_fold(d):
+    """Each additive vertex at p gives +-<(0, C) * (a, 1), (b, 1)>, C the
+    product left of p; each dot adds its label scaled by C."""
+    total = PrimeVector()
+    for obj, (gen, p) in zip(af.AFFINE.states(d.source, d.layers), d.layers):
+        C = _y_product(obj, p)
+        sign = _FOLD_SIGNS.get(type(gen))
+        if sign is not None:
+            w1 = af.AffWeight(0, C) * af.AffWeight(gen.a, 1)
+            total = total + af.aff_cocycle(w1, af.AffWeight(gen.b, 1)).scaled(sign)
+        elif isinstance(gen, af.Dot):
+            total = total + gen.payload.scaled(C)
+    return total
+
+
+def test_j_invariant_is_the_affine_group_fold():
+    rng = seeded_rng(71)
+    vertices = 0
+    for _ in range(500):
+        d = random_diagram(rng, max_strands=8, max_layers=14, max_num=6)
+        assert af.j_invariant(d) == _affine_fold(d)
+        vertices += sum(type(gen) in _FOLD_SIGNS for gen, _ in d.layers)
+    assert vertices > 500

@@ -153,8 +153,8 @@ def test_alpha_u_additive_under_juxtaposition():
     G, U, f, c = aff3()
     rng = seeded_rng(201)
     for _ in range(40):
-        d1 = random_closed_gdiagram(rng, G, grow_layers=4, allow_dots=True, module=U)
-        d2 = random_closed_gdiagram(rng, G, grow_layers=4, allow_dots=True, module=U)
+        d1 = random_closed_gdiagram(rng, G, grow_layers=4, module=U)
+        d2 = random_closed_gdiagram(rng, G, grow_layers=4, module=U)
         offset = len(validate_gdiagram(d1))
         combined = GDiagram(
             G, d1.source + d2.source, d1.layers + tuple((g, p + offset) for g, p in d2.layers)
@@ -559,7 +559,7 @@ def test_arithmetic_matches_reduce_every_step_references():
             assert db.values == _ref_coboundary2(U, [U.reduce(x) for x in b])
             f = Cocycle1(V, tuple(tuple(rng.randrange(m) for m in V.moduli) for _ in G.elements()))
             for c in (db, _random_table(rng, U)):
-                d = random_closed_gdiagram(rng, G, grow_layers=k, allow_dots=True, module=U)
+                d = random_closed_gdiagram(rng, G, grow_layers=k, module=U)
                 d = _unreduced_dots(rng, d, U)
                 for n in range(len(d.layers) + 1):
                     p = GDiagram(G, d.source, d.layers[:n])
@@ -576,14 +576,14 @@ def test_trivial_module_is_the_checked_identity_action():
     for G, moduli in ((Group.cyclic(5), (6,)), (Group.aff1_mod_p(3), (4, 3))):
         U = GModule.trivial(G, moduli)
         eye = [[int(i == j) for j in range(len(moduli))] for i in range(len(moduli))]
-        checked = GModule(G, moduli, {g: eye for g in G.elements()}, check=True)
+        checked = GModule(G, moduli, {g: eye for g in G.elements()})
         assert U.action == checked.action and U.moduli == checked.moduli
         for _ in range(10):
             b = [U.zero()] + [
                 tuple(rng.randrange(m) for m in moduli) for _ in range(G.order - 1)
             ]
             assert coboundary2(U, b).values == coboundary2(checked, b).values
-            d = random_closed_gdiagram(rng, G, grow_layers=6, allow_dots=True, module=U)
+            d = random_closed_gdiagram(rng, G, grow_layers=6, module=U)
             assert eval_alpha_u(d, U) == eval_alpha_u(d, checked)
     with pytest.raises(GroupValidationError):
         GModule.trivial(Group.cyclic(3), (0,))

@@ -100,7 +100,7 @@ def _networks():
     for U, f, c in out:
         assert verify_cocycle1(f)
         for k in range(12):
-            d = random_closed_gdiagram(rng, U.group, grow_layers=k, allow_dots=True, module=U)
+            d = random_closed_gdiagram(rng, U.group, grow_layers=k, module=U)
             nets.append((d, U, f, c))
     return nets
 
@@ -113,7 +113,7 @@ def _svg_hashes() -> dict:
         rng = seeded_rng(32)
         U = GModule.trivial(Group.cyclic(6), (4,))
         nets = [
-            random_closed_gdiagram(rng, U.group, grow_layers=i % 9, allow_dots=True, module=U)
+            random_closed_gdiagram(rng, U.group, grow_layers=i % 9, module=U)
             for i in range(20)
         ]
     return {

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from entronet import affine as af
+from entronet import cli, dsl
 from entronet import rewrite as rw
 from entronet.sampling import random_diagram, seeded_rng
+from entronet.scalars import FactoringBudgetExceeded
 
 
 def X(a):
@@ -251,3 +254,68 @@ def test_normalize_float_mode():
     nd = rw.normalize(d)
     assert af.validate(nd) == af.validate(d)
     assert abs(af.j_invariant(nd) - af.j_invariant(d)) < 1e-9
+
+
+def _skeleton_normal_form(d):
+    """Normal form as the skeleton difference: j(d) - j(skeleton) in the dot."""
+    src = tuple(d.source)
+    down = rw.reduction_layers(src)
+    up = af.inverse_layers(rw.reduction_layers(af.validate(d)))
+    label = af.j_invariant(d) - af.j_invariant(af.Diagram(src, down + up, d.mode))
+    return af.Diagram(src, down + ((af.Dot(label), 0),) + up, d.mode)
+
+
+def _split_dot(nd):
+    """The one dot label of a normal form, and its other layers."""
+    (label,) = [gen.payload for gen, _ in nd.layers if isinstance(gen, af.Dot)]
+    return label, [layer for layer in nd.layers if not isinstance(layer[0], af.Dot)]
+
+
+@pytest.mark.parametrize("mode", [af.MODE_J, af.MODE_H, af.MODE_HFLOAT])
+def test_normalize_dot_is_the_skeleton_difference(mode):
+    """By the boundary theorem the dots of d are j(d) - j(skeleton)."""
+    rng = seeded_rng(69)
+    for _ in range(500):
+        d = random_diagram(rng, mode=mode, max_strands=8, max_layers=12, max_num=6)
+        nd, old = rw.normalize(d), _skeleton_normal_form(d)
+        (label, rest), (old_label, old_rest) = _split_dot(nd), _split_dot(old)
+        assert nd.source == old.source and rest == old_rest
+        if mode == af.MODE_HFLOAT:
+            assert abs(label - old_label) <= 1e-9
+        else:
+            assert nd == old and label.to_text() == old_label.to_text()
+
+
+def _seed1_chain_diagram():
+    """200 strands whose evaluation refuses: a prefix sum has an 89-bit numerator."""
+    rng = random.Random(1)
+
+    def weight():
+        return F(rng.randint(1, 50), rng.randint(1, 50))
+
+    z = [weight() for _ in range(40)]
+    ys = [[weight() for _ in range(3)] for _ in range(40)]
+    return af.chain_diagrams(z, ys)[0]
+
+
+def test_normalize_factors_nothing_on_a_refused_chain_diagram():
+    d = _seed1_chain_diagram()
+    assert len(d.source) == 200
+    with pytest.raises(FactoringBudgetExceeded):
+        af.j_invariant(d)
+    nd = rw.normalize(d)
+    assert nd.source == d.source and af.validate(nd) == af.validate(d)
+    assert _split_dot(nd)[0].is_zero()
+    assert rw.normalize(nd) == nd
+
+
+def test_normalize_command_on_a_refused_chain_diagram(tmp_path):
+    d = _seed1_chain_diagram()
+    src, tgt = dsl.object_to_decl("src", d.source), dsl.object_to_decl("tgt", af.validate(d))
+    decl = dsl.diagram_to_decl("chain", "src", "tgt", d)
+    path, out = tmp_path / "chain.net", tmp_path / "normal.net"
+    path.write_text(dsl.print_source(dsl.SourceFile((src, tgt, decl), d.mode)))
+    assert cli.main(["normalize", str(path), "--diagram", "chain", "-o", str(out)]) == 0
+    assert cli.main(["validate", str(out)]) == 0
+    normal = dsl.resolve(dsl.parse(out.read_text())).diagrams["chain_normal"]
+    assert normal == rw.normalize(d)

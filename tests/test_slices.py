@@ -126,7 +126,7 @@ def test_walk_matches_fresh_winding_networks():
     for U, _, _ in _modules():
         calc = gd.calculus(U.group)
         for k in range(60):
-            d = random_closed_gdiagram(rng, U.group, grow_layers=k % 12, allow_dots=True, module=U)
+            d = random_closed_gdiagram(rng, U.group, grow_layers=k % 12, module=U)
             _check_walk(calc, d.source, d.layers, seen)
     assert all(seen.values()), seen
 
@@ -173,7 +173,7 @@ def test_network_evaluations_refuse_like_validate():
     for U, f, c in _modules():
         for i in range(80):
             grow = 1 + i % 10
-            d = random_closed_gdiagram(rng, U.group, grow_layers=grow, allow_dots=True, module=U)
+            d = random_closed_gdiagram(rng, U.group, grow_layers=grow, module=U)
             bad = gd.GDiagram(d.group, d.source, _shifted(rng, d.layers)[0])
             try:
                 gd.validate_gdiagram(bad)
