@@ -361,12 +361,11 @@ def boundary(gen: Generator) -> tuple[Obj, Obj]:
     Generators are frozen, so the pair never goes stale; it is not a field, so
     repr, == and hash ignore it.
     """
-    try:
-        return gen._boundary
-    except AttributeError:
+    pair = getattr(gen, "_boundary", None)
+    if pair is None:
         pair = (gen.dom(), gen.cod())
         object.__setattr__(gen, "_boundary", pair)
-        return pair
+    return pair
 
 
 def _step(w: Fraction, pt: Pt) -> Fraction:
@@ -392,7 +391,7 @@ winding_product = AFFINE.winding
 
 def validate(d: Diagram) -> Obj:
     """Target object of a well-formed diagram; raises at the first bad layer."""
-    return AFFINE.states(d.source, d.layers)[-1]
+    return AFFINE.target(d.source, d.layers)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .groups import GModule, Group, UElt
 
@@ -180,23 +180,27 @@ def shift_by_coboundary(c: Cocycle2, b) -> Cocycle2:
     return Cocycle2(U, rows)
 
 
-def add_cocycles(c1: Cocycle2, c2: Cocycle2) -> Cocycle2:
-    U, G = c1.module, c1.module.group
-    rows = tuple(
-        tuple(U.add(c1(s, t), c2(s, t)) for t in G.elements()) for s in G.elements()
-    )
-    return Cocycle2(U, rows)
+def _index_tables(U: GModule):
+    """U's elements numbered in enumeration order, zero first: the numbering
+    and the index tables add[i][j] of sums and act[s][i] of G's action."""
+    u_elems = list(U.elements())
+    u_index = {u: i for i, u in enumerate(u_elems)}
+    add = [[u_index[U.add(u, v)] for v in u_elems] for u in u_elems]
+    act = [[u_index[U.act(s, u)] for u in u_elems] for s in U.group.elements()]
+    return u_index, add, act
 
 
 def central_extension(c: Cocycle2) -> Group:
     """The extension group on U x G with multiplication twisted by c.
 
     Element (u, s) is index(u) * |G| + s, and (u1, s1)(u2, s2) is
-    (u1 + s1 u2 + c(s1, s2), s1 s2).  U is enumerated once; the table is
-    filled by lookups in three index tables: addition on U, the action of
-    G on U and the values of c.  An extension of order |G|*|U| past 182, the
-    largest order a `.net` group may have, raises SizeBoundExceeded before
-    anything is built.
+    (u1 + s1 u2 + c(s1, s2), s1 s2).  U is enumerated once, into index
+    tables for addition on U, the action of G on U and the values of c.
+    For each s1 and each a in U the block of products (a + c(s1, s2), s1 s2)
+    over s2 is built once; row (u1, s1) is the blocks of a = u1 + s1 u2
+    joined over u2.  An extension of order |G|*|U| past 182, the largest
+    order a `.net` group may have, raises SizeBoundExceeded before anything
+    is built.
     """
     U, G = c.module, c.module.group
     check_system_size(G.order * math.prod(U.moduli), 1, 1)
@@ -204,20 +208,18 @@ def central_extension(c: Cocycle2) -> Group:
         raise ValueError("extension needs a normalized cocycle")
     if not verify_cocycle2(c):
         raise ValueError("not a 2-cocycle")
-    u_elems = list(U.elements())
-    u_index = {u: i for i, u in enumerate(u_elems)}
+    u_index, add, act = _index_tables(U)
     n = G.order
-    add = [[u_index[U.add(u, v)] for v in u_elems] for u in u_elems]
-    act = [[u_index[U.act(s, u)] for u in u_elems] for s in G.elements()]
     val = [[u_index[U.reduce(v)] for v in row] for row in c.values]
-    table = []
-    for add_u1 in add:
-        for act_s1, val_s1, mul_s1 in zip(act, val, G.table):
-            row = []
-            for s1u2 in act_s1:
-                add_u = add[add_u1[s1u2]]
-                row += [add_u[x] * n + st for x, st in zip(val_s1, mul_s1)]
-            table.append(row)
+    blocks = [
+        [[add_a[x] * n + st for x, st in zip(val_s1, mul_s1)] for add_a in add]
+        for val_s1, mul_s1 in zip(val, G.table)
+    ]
+    table = [
+        list(chain.from_iterable(map(blocks_s1.__getitem__, map(add_u1.__getitem__, act_s1))))
+        for add_u1 in add
+        for act_s1, blocks_s1 in zip(act, blocks)
+    ]
     return Group(table)
 
 
@@ -556,45 +558,61 @@ def is_coboundary2(c: Cocycle2) -> bool:
 
 
 def h_exhaustive(G: Group, U: GModule):
-    """Brute-force H^2 for small cases: (order, element-order multiset)."""
+    """Brute-force H^2 for small cases: (order, element-order multiset).
+
+    A complete enumeration of the normalized 2-cochains, independent of the
+    solver.  U is indexed once, and a cochain is a tuple of element indices,
+    one per cell (g, h) with g, h nonidentity.  Each is tested against the
+    cocycle law on the (|G|-1)^3 triples with no identity argument, stopping
+    at the first failure: the law holds on a normalized cochain whenever an
+    argument is the identity.  The coboundaries, the cosets and the class
+    orders are then computed on the same index tuples.  A search space past
+    2^20 cochains raises SizeBoundExceeded before any is enumerated.
+    """
     n = G.order
-    pairs = [(g, h) for g in range(1, n) for h in range(1, n)]
-    space = U.size() ** len(pairs)
+    cells = (n - 1) ** 2
+    space = U.size() ** cells
     if space > 2**20:
         raise SizeBoundExceeded(f"search space {space} exceeds 2^20")
-    u_elems = list(U.elements())
+    _, add, act = _index_tables(U)
+    neg = [row.index(0) for row in add]
 
-    def tables():
-        for combo in product(u_elems, repeat=len(pairs)):
-            tab = [[U.zero()] * n for _ in range(n)]
-            for (g, h), val in zip(pairs, combo):
-                tab[g][h] = val
-            yield Cocycle2(U, tuple(tuple(row) for row in tab))
+    def cell(g: int, h: int) -> int:
+        """Position of c(g, h) in a cochain tuple with the zero appended."""
+        return (g - 1) * (n - 1) + h - 1 if g and h else cells
 
-    cocycles = [c for c in tables() if verify_cocycle2(c)]
+    # s c(t,g) + c(s,tg) == c(st,g) + c(s,t)
+    laws = [
+        (act[s], cell(t, g), cell(s, G.mul(t, g)), cell(G.mul(s, t), g), cell(s, t))
+        for s in range(1, n) for t in range(1, n) for g in range(1, n)
+    ]
+    cocycles = []
+    for c in product(range(len(add)), repeat=cells):
+        v = c + (0,)
+        for act_s, tg, s_tg, st_g, st in laws:
+            if add[act_s[v[tg]]][v[s_tg]] != add[v[st_g]][v[st]]:
+                break
+        else:
+            cocycles.append(c)
     cob = set()
-    for combo in product(u_elems, repeat=n - 1):
-        b = [U.zero()] + list(combo)
-        cob.add(coboundary2(U, b).table())
+    for b in product(range(len(add)), repeat=n - 1):
+        b = (0,) + b
+        cob.add(tuple(
+            add[add[b[s]][act[s][b[t]]]][neg[b[G.mul(s, t)]]]
+            for s in range(1, n) for t in range(1, n)
+        ))
     order = len(cocycles) // len(cob)
 
-    # one representative per coset; class order = least k with k*c a coboundary
+    # one class per coset; class order = least k with k*c a coboundary
     orders = []
     seen: set = set()
     for c in cocycles:
-        key = min(
-            tuple(
-                tuple(tuple(U.add(c(g, h), db[g][h]) for h in range(n)) for g in range(n))
-                for db in cob
-            )
-        )
-        if key in seen:
+        if c in seen:
             continue
-        seen.add(key)
-        k = 1
-        acc = c
-        while acc.table() not in cob:
-            acc = add_cocycles(acc, c)
+        seen.update(tuple(add[x][y] for x, y in zip(c, db)) for db in cob)
+        k, acc = 1, c
+        while acc not in cob:
+            acc = tuple(add[x][y] for x, y in zip(acc, c))
             k += 1
         orders.append(k)
     orders.sort()

@@ -19,7 +19,7 @@ evaluation works on the expansion.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from ..mirror import mirrored, signed_pairs
@@ -46,12 +46,25 @@ class GPt:
 GObj = tuple[GPt, ...]
 
 
-def _L(g: int) -> GPt:
-    return GPt(g, True)
+# (g R, g L) for each g below the largest group order a boundary was built for
+_POINTS: list[tuple[GPt, GPt]] = []
 
 
-def _R(g: int) -> GPt:
-    return GPt(g, False)
+def _pt(G: Group, g: int, left: bool) -> GPt:
+    """GPt(g, left), one shared instance for each element g of G."""
+    if not 0 <= g < G.order:
+        return GPt(g, left)
+    if len(_POINTS) < G.order:
+        _POINTS.extend((GPt(i, False), GPt(i, True)) for i in range(len(_POINTS), G.order))
+    return _POINTS[g][left]
+
+
+def _L(G: Group, g: int) -> GPt:
+    return _pt(G, g, True)
+
+
+def _R(G: Group, g: int) -> GPt:
+    return _pt(G, g, False)
 
 
 # -- generators -------------------------------------------------------------
@@ -67,10 +80,10 @@ class VMergeL:
     t: int
 
     def dom(self, G: Group) -> GObj:
-        return (_L(self.s), _L(self.t))
+        return (_L(G, self.s), _L(G, self.t))
 
     def cod(self, G: Group) -> GObj:
-        return (_L(G.mul(self.s, self.t)),)
+        return (_L(G, G.mul(self.s, self.t)),)
 
 
 VSplitL = mirrored(VMergeL, "VSplitL", "[st L] -> [s L, t L].")
@@ -84,10 +97,10 @@ class VMergeR:
     t: int
 
     def dom(self, G: Group) -> GObj:
-        return (_R(self.s), _R(self.t))
+        return (_R(G, self.s), _R(G, self.t))
 
     def cod(self, G: Group) -> GObj:
-        return (_R(G.mul(self.t, self.s)),)
+        return (_R(G, G.mul(self.t, self.s)),)
 
 
 VSplitR = mirrored(VMergeR, "VSplitR", "[ts R] -> [s R, t R].")
@@ -101,10 +114,10 @@ class GFlip:
     from_left: bool
 
     def dom(self, G: Group) -> GObj:
-        return (GPt(self.g, self.from_left),)
+        return (_pt(G, self.g, self.from_left),)
 
     def cod(self, G: Group) -> GObj:
-        return (GPt(G.inv(self.g), not self.from_left),)
+        return (_pt(G, G.inv(self.g), not self.from_left),)
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,7 @@ class GCupLR:
         return ()
 
     def cod(self, G: Group) -> GObj:
-        return (_L(self.g), _R(self.g))
+        return (_L(G, self.g), _R(G, self.g))
 
 
 @dataclass(frozen=True)
@@ -130,7 +143,7 @@ class GCupRL:
         return ()
 
     def cod(self, G: Group) -> GObj:
-        return (_R(self.g), _L(self.g))
+        return (_R(G, self.g), _L(G, self.g))
 
 
 GCapLR = mirrored(GCupLR, "GCapLR", "Closing arc over [g L, g R] (apex co-oriented up).")
@@ -153,10 +166,15 @@ class GDot:
 # Vertices of the second kind, as macros over a flip plus a first-kind vertex.
 
 
+def _reflect(gen):
+    """gen's mirror, with gen's field values."""
+    return gen.mirror(*(getattr(gen, f.name) for f in fields(gen)))
+
+
 def _split_expand(self, G: Group):
     """The reflection of the mirror merge's expansion: a flip then a split."""
-    merge, flip = self.mirror(**vars(self)).expand(G)
-    return (GFlip(G.inv(flip.g), not flip.from_left), merge.mirror(**vars(merge)))
+    merge, flip = _reflect(self).expand(G)
+    return (GFlip(G.inv(flip.g), not flip.from_left), _reflect(merge))
 
 
 @dataclass(frozen=True)
@@ -167,10 +185,10 @@ class T2MergeRR:
     t: int
 
     def dom(self, G: Group) -> GObj:
-        return (_R(self.s), _R(self.t))
+        return (_R(G, self.s), _R(G, self.t))
 
     def cod(self, G: Group) -> GObj:
-        return (_L(G.inv(G.mul(self.t, self.s))),)
+        return (_L(G, G.inv(G.mul(self.t, self.s))),)
 
     def expand(self, G: Group):
         return (VMergeR(self.s, self.t), GFlip(G.mul(self.t, self.s), False))
@@ -184,10 +202,10 @@ class T2MergeLL:
     t: int
 
     def dom(self, G: Group) -> GObj:
-        return (_L(self.s), _L(self.t))
+        return (_L(G, self.s), _L(G, self.t))
 
     def cod(self, G: Group) -> GObj:
-        return (_R(G.inv(G.mul(self.s, self.t))),)
+        return (_R(G, G.inv(G.mul(self.s, self.t))),)
 
     def expand(self, G: Group):
         return (VMergeL(self.s, self.t), GFlip(G.mul(self.s, self.t), True))
@@ -244,8 +262,20 @@ class GDiagram:
 def calculus(G: Group) -> Calculus:
     """Networks over G as a sliced calculus: the winding of a gap is the
     ordered product of the strands left of it, g for g L and g^-1 for g R."""
+
+    def boundary(gen: GGenerator) -> tuple[GObj, GObj]:
+        """(gen.dom(G), gen.cod(G)), kept on the instance with G as (G, pair)
+        and rebuilt when asked under another group.  Generators are frozen;
+        the pair is not a field, so repr, == and hash ignore it."""
+        kept = getattr(gen, "_boundary", None)
+        if kept is not None and kept[0] is G:
+            return kept[1]
+        pair = (gen.dom(G), gen.cod(G))
+        object.__setattr__(gen, "_boundary", (G, pair))
+        return pair
+
     return Calculus(
-        lambda gen: (gen.dom(G), gen.cod(G)),
+        boundary,
         GDiagramError,
         lambda dom, found, layer: GDiagramError(f"expected {dom!r}, found {found!r}", layer),
         0,
@@ -254,7 +284,7 @@ def calculus(G: Group) -> Calculus:
 
 
 def validate_gdiagram(d: GDiagram) -> GObj:
-    return calculus(d.group).states(d.source, d.layers)[-1]
+    return calculus(d.group).target(d.source, d.layers)
 
 
 def g_winding(d: GDiagram, layer: int, gap: int) -> int:

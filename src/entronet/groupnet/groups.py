@@ -50,7 +50,7 @@ class Group:
     def _check_axioms(self) -> tuple[int, ...]:
         """Validate the table; return the generators Light's test picked."""
         n, t = self.order, self.table
-        if any(not 0 <= x < n for row in t for x in row):
+        if t and (min(map(min, t)) < 0 or max(map(max, t)) >= n):
             raise GroupValidationError("table entries out of range")
         ident = tuple(range(n))
         cols = tuple(zip(*t))

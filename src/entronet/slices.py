@@ -49,6 +49,14 @@ class Calculus:
         """obj with gen applied at pos, where the span must equal gen's domain."""
         return self._splice(obj, *self.boundary(gen), pos, layer)
 
+    def target(self, source: Iterable, layers: Iterable) -> tuple:
+        """The object above the last layer, keeping none of those between;
+        raises at the first bad layer, naming its index."""
+        obj, boundary, splice = tuple(source), self.boundary, self._splice
+        for i, (gen, pos) in enumerate(layers):
+            obj = splice(obj, *boundary(gen), pos, i)
+        return obj
+
     def states(self, source: Iterable, layers: Iterable) -> list[tuple]:
         """Objects between layers, from the source (index 0) to the target."""
         out = [tuple(source)]

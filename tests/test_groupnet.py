@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from entronet.groupnet.cohomology import (
@@ -134,6 +136,46 @@ def test_mirror_pairs(merge, split, args):
     m, s = merge(*args), split(*args)
     assert (s.dom(G), s.cod(G)) == (m.cod(G), m.dom(G))
     assert repr(s) == repr(m).replace(merge.__name__, split.__name__, 1)
+
+
+def test_second_kind_splits_after_their_boundary_is_kept():
+    """expand and the evaluations rebuild a split from its fields, so a boundary
+    kept on the instance by an earlier apply changes nothing."""
+    G, U, f, c = aff3()
+    calc = calculus(G)
+    for cls in (T2SplitLL, T2SplitRR):
+        for s in G.elements():
+            for t in G.elements():
+                gen = cls(s, t)
+                want = cls(s, t).expand(G)
+                src = gen.dom(G)
+                calc.apply(src, gen, 0)
+                assert "_boundary" in vars(gen)
+                assert gen.expand(G) == want
+                dot = (GDot((1,)), 0)
+                d = GDiagram(G, src, (dot, (gen, 0)))
+                ref = GDiagram(G, src, (dot,) + tuple((part, 0) for part in want))
+                for ev, args in (
+                    (eval_alpha_u, (U,)),
+                    (eval_alpha_f, (f,)),
+                    (eval_alpha_c, (c,)),
+                    (eval_alpha_cf, (c, f)),
+                ):
+                    assert ev(d, *args) == ev(ref, *args)
+
+
+def test_boundary_is_kept_per_group():
+    gen = VMergeL(1, 2)
+    shown = (repr(gen), hash(gen), fields(gen))
+    c3, c5 = Group.cyclic(3), Group.cyclic(5)
+    for G, product in ((c3, 0), (c5, 3), (c3, 0)):
+        assert calculus(G).apply((L(1), L(2)), gen, 0) == (L(product),)
+        assert calculus(G).boundary(gen) == (gen.dom(G), gen.cod(G))
+    assert (repr(gen), hash(gen), fields(gen)) == shown
+    assert gen == VMergeL(1, 2) and VMergeL(1, 2) == gen
+    # points of the group's elements are shared; others are built afresh
+    assert GCupLR(4).cod(c5)[0] is VMergeL(2, 2).cod(c5)[0]
+    assert GCupLR(7).cod(c5) == (L(7), R(7))
 
 
 # -- plain evaluation ----------------------------------------------------------

@@ -18,6 +18,7 @@ from entronet.groupnet.catalog import carry
 from entronet.groupnet.cohomology import Cocycle1, coboundary1, coboundary2
 from entronet.groupnet.groups import GModule, Group
 from entronet.jspace import PrimeVector
+from entronet.slices import LayerError
 from entronet.sampling import random_closed_gdiagram, random_diagram, seeded_rng
 
 # field name -> values, for building every affine generator class
@@ -186,4 +187,31 @@ def test_network_evaluations_refuse_like_validate():
             assert _refusal(gd.eval_alpha_f, bad, f) == expected
             assert _refusal(gd.eval_alpha_c, bad, c) == expected
             assert _refusal(gd.eval_alpha_cf, bad, c, f) == expected
+    assert refused >= 100, refused
+
+
+def _outcome(fn, *args):
+    try:
+        return "target", fn(*args)
+    except LayerError as exc:
+        return "refused", type(exc), exc.layer, str(exc)
+
+
+def test_target_is_the_last_state():
+    """target gives states' last object, or raises the same error at the same layer."""
+    rng = seeded_rng(65)
+    cases = []
+    for i in range(200):
+        d = random_diagram(rng, mode=af.MODES[i % 2])
+        cases.append((af.AFFINE, d.source, d.layers))
+    for U, _, _ in _modules():
+        for k in range(60):
+            d = random_closed_gdiagram(rng, U.group, grow_layers=k % 12, module=U)
+            cases.append((gd.calculus(U.group), d.source, d.layers))
+    refused = 0
+    for calc, source, layers in cases:
+        for ls in (layers, _shifted(rng, layers)[0]) if layers else (layers,):
+            want = _outcome(lambda: calc.states(source, ls)[-1])
+            assert _outcome(calc.target, source, ls) == want
+            refused += want[0] == "refused"
     assert refused >= 100, refused
