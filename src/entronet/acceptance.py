@@ -41,8 +41,6 @@ from .jspace import (
 )
 from .sampling import seeded_rng
 
-FLOAT_TOL = 1e-10
-
 # Seconds spent in the sampling generators below, over every criterion run.
 _generate_s = 0.0
 
@@ -130,7 +128,7 @@ def crit03_entropy_four_term():
             + (1 - float(p))
             * bracket_H_float(float((1 - q) / (1 - p)), 1 - float((1 - q) / (1 - p)))
         )
-        if abs(residual) >= FLOAT_TOL:
+        if abs(residual) >= af.FLOAT_TOL:
             return False, f"float residual {residual} at ({p},{q})"
     return True, "1000 pairs, exact and float"
 

@@ -20,7 +20,7 @@ every mode; only evaluation arithmetic and dot payloads change.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -31,7 +31,7 @@ from .jspace import (
     entropy_render,
     symbol,
 )
-from .mirror import mirrored, signed_pairs
+from .mirror import mirrored, record, signed_pairs
 from .slices import Calculus, LayerError
 
 Rational = Fraction
@@ -141,16 +141,13 @@ class AffWeight:
 
 
 # ---------------------------------------------------------------------------
-# Generators.  Each stores the weights it needs; domain and codomain are a
-# total function of the generator.  Splits and caps are the mirrors of merges
-# and cups: the same fields, domain and codomain swapped.
+# Generators.  Each is a record of what it needs: Fraction weights, Pts, bool
+# orientations or a dot payload; domain and codomain are a total function of
+# the generator.  Splits and caps are the mirrors of merges and cups: the same
+# fields, domain and codomain swapped.
 
 
-@dataclass(frozen=True)
-class AddMerge:
-    a: Fraction
-    b: Fraction
-
+class AddMerge(record("a b")):
     def dom(self) -> Obj:
         return (xplus(self.a), xplus(self.b))
 
@@ -161,12 +158,8 @@ class AddMerge:
 AddSplit = mirrored(AddMerge, "AddSplit")
 
 
-@dataclass(frozen=True)
-class AddMergeDual:
+class AddMergeDual(record("a b")):
     """Merge of downward lines: [X-(b), X-(a)] -> [X-(a+b)]."""
-
-    a: Fraction
-    b: Fraction
 
     def dom(self) -> Obj:
         return (xminus(self.b), xminus(self.a))
@@ -178,16 +171,13 @@ class AddMergeDual:
 AddSplitDual = mirrored(AddMergeDual, "AddSplitDual")
 
 
-@dataclass(frozen=True)
-class AddCross:
+class AddCross(record("first second")):
     """Transposition of two adjacent additive points, any orientations."""
 
-    first: Pt
-    second: Pt
-
-    def __post_init__(self):
-        if not (self.first.kind.additive and self.second.kind.additive):
+    def __new__(cls, first: Pt, second: Pt):
+        if not (first.kind.additive and second.kind.additive):
             raise KindMismatch("additive crossing needs two X points")
+        return super().__new__(cls, first, second)
 
     def dom(self) -> Obj:
         return (self.first, self.second)
@@ -200,20 +190,17 @@ def _cross_scale(y: Pt) -> Fraction:
     return y.weight if y.kind is Kind.YP else 1 / y.weight
 
 
-@dataclass(frozen=True)
-class XYCross:
+class XYCross(record("y x")):
     """Move an additive point left across a multiplicative one.
 
     [Y(c), X(a)] -> [X(c'a), Y(c)] where c' is c for a left co-oriented line
     and 1/c for a right co-oriented one, independent of the X orientation.
     """
 
-    y: Pt
-    x: Pt
-
-    def __post_init__(self):
-        if not self.y.kind.multiplicative or not self.x.kind.additive:
+    def __new__(cls, y: Pt, x: Pt):
+        if not y.kind.multiplicative or not x.kind.additive:
             raise KindMismatch("xy crossing needs a Y point then an X point")
+        return super().__new__(cls, y, x)
 
     def dom(self) -> Obj:
         return (self.y, self.x)
@@ -222,11 +209,7 @@ class XYCross:
         return (Pt(self.x.kind, _cross_scale(self.y) * self.x.weight), self.y)
 
 
-@dataclass(frozen=True)
-class MultMerge:
-    c1: Fraction
-    c2: Fraction
-
+class MultMerge(record("c1 c2")):
     def dom(self) -> Obj:
         return (yplus(self.c1), yplus(self.c2))
 
@@ -237,11 +220,7 @@ class MultMerge:
 MultSplit = mirrored(MultMerge, "MultSplit")
 
 
-@dataclass(frozen=True)
-class MultMergeDual:
-    c1: Fraction
-    c2: Fraction
-
+class MultMergeDual(record("c1 c2")):
     def dom(self) -> Obj:
         return (yminus(self.c1), yminus(self.c2))
 
@@ -252,12 +231,8 @@ class MultMergeDual:
 MultSplitDual = mirrored(MultMergeDual, "MultSplitDual")
 
 
-@dataclass(frozen=True)
-class CoorientRev:
+class CoorientRev(record("c from_plus")):
     """Reversal node: Y+(c) <-> Y-(1/c)."""
-
-    c: Fraction
-    from_plus: bool
 
     def dom(self) -> Obj:
         return (yplus(self.c) if self.from_plus else yminus(self.c),)
@@ -267,11 +242,7 @@ class CoorientRev:
         return (yminus(inv) if self.from_plus else yplus(inv),)
 
 
-@dataclass(frozen=True)
-class CupX:
-    a: Fraction
-    plus_on_left: bool
-
+class CupX(record("a plus_on_left")):
     def dom(self) -> Obj:
         return ()
 
@@ -283,11 +254,7 @@ class CupX:
 CapX = mirrored(CupX, "CapX")
 
 
-@dataclass(frozen=True)
-class CupY:
-    c: Fraction
-    plus_on_left: bool
-
+class CupY(record("c plus_on_left")):
     def dom(self) -> Obj:
         return ()
 
@@ -302,11 +269,8 @@ CapY = mirrored(CupY, "CapY")
 DotPayload = Union[PrimeVector, EntropyScalar, float]
 
 
-@dataclass(frozen=True)
-class Dot:
+class Dot(record("payload")):
     """A floating label in a region gap; contributes its winding-scaled value."""
-
-    payload: DotPayload
 
     def dom(self) -> Obj:
         return ()
@@ -358,13 +322,12 @@ def identity_diagram(obj: Sequence[Pt], mode: str = MODE_J) -> Diagram:
 def boundary(gen: Generator) -> tuple[Obj, Obj]:
     """(gen.dom(), gen.cod()), built on the first call and kept on the instance.
 
-    Generators are frozen, so the pair never goes stale; it is not a field, so
-    repr, == and hash ignore it.
+    A generator's fields never change, so the pair never goes stale; it is kept
+    in the record's __dict__, not among its fields, so repr, == and hash ignore it.
     """
     pair = getattr(gen, "_boundary", None)
     if pair is None:
-        pair = (gen.dom(), gen.cod())
-        object.__setattr__(gen, "_boundary", pair)
+        pair = gen._boundary = (gen.dom(), gen.cod())
     return pair
 
 
@@ -497,19 +460,25 @@ def j_invariant(d: Diagram):
 def dot_contribution(d: Diagram):
     """Winding-scaled sum of dot labels alone (the non-boundary part).
 
-    Only dots need a winding: the layers are checked first, then each dot's
-    winding is found in the object below it, in layer order.
+    Only dots need a winding, found in the object below each dot once its layer
+    is checked; one object is kept at a time.  The payloads are valued after
+    every layer is checked, so a bad layer raises before a bad payload.
     """
-    total = _zero_value(d.mode)
-    for obj, (gen, pos) in zip(AFFINE.states(d.source, d.layers), d.layers):
+    states = AFFINE.states(d.source, d.layers)
+    below, dots = next(states), []
+    for (gen, pos), above in zip(d.layers, states):
         if isinstance(gen, Dot):
-            total = total + _dot_term(d.mode, AFFINE.winding(obj, pos), gen)
+            dots.append((AFFINE.winding(below, pos), gen))
+        below = above
+    total = _zero_value(d.mode)
+    for w, gen in dots:
+        total = total + _dot_term(d.mode, w, gen)
     return total
 
 
-def values_equal(mode: str, x, y, tol: float = FLOAT_TOL) -> bool:
+def values_equal(mode: str, x, y) -> bool:
     if mode == MODE_HFLOAT:
-        return abs(x - y) <= tol
+        return abs(x - y) <= FLOAT_TOL
     return x == y
 
 
@@ -540,7 +509,7 @@ def morphism_exists(z0: Sequence[Pt], z1: Sequence[Pt]) -> bool:
     return object_weight(tuple(z0)) == object_weight(tuple(z1))
 
 
-def equal_morphisms(d1: Diagram, d2: Diagram, tol: float = FLOAT_TOL) -> bool:
+def equal_morphisms(d1: Diagram, d2: Diagram) -> bool:
     """Equality in the dotted calculus: same boundary and equal evaluation.
 
     For dotless diagrams the evaluation comparison is automatic (it depends
@@ -551,7 +520,7 @@ def equal_morphisms(d1: Diagram, d2: Diagram, tol: float = FLOAT_TOL) -> bool:
         raise BoundaryMismatch("cannot compare diagrams of different modes")
     if tuple(d1.source) != tuple(d2.source) or validate(d1) != validate(d2):
         raise BoundaryMismatch("boundaries differ")
-    return values_equal(d1.mode, j_invariant(d1), j_invariant(d2), tol)
+    return values_equal(d1.mode, j_invariant(d1), j_invariant(d2))
 
 
 def inverse_layers(layers: Iterable[Layer]) -> tuple[Layer, ...]:
@@ -565,7 +534,7 @@ def inverse_layers(layers: Iterable[Layer]) -> tuple[Layer, ...]:
     for gen, pos in reversed(tuple(layers)):
         mirror = getattr(gen, "mirror", None)
         if mirror is not None:
-            out.append((mirror(*(getattr(gen, f.name) for f in fields(gen))), pos))
+            out.append((mirror(*gen), pos))
         elif isinstance(gen, CoorientRev):
             out.append((CoorientRev(1 / Fraction(gen.c), not gen.from_plus), pos))
         elif isinstance(gen, AddCross):

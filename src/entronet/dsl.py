@@ -16,7 +16,7 @@ a canonical form and `parse(print(x))` returns an identical syntax tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar, Union
 
@@ -893,8 +893,7 @@ def diagram_to_decl(name: str, src_name: str, tgt_name: str, d: af.Diagram) -> D
     specs = []
     for gen, pos in d.layers:
         layer, kinds = _AFFINE_NAMES[type(gen)]
-        values = [getattr(gen, f.name) for f in fields(gen)]
-        args = tuple(("+" if v else "-") if k == SIGN else v for k, v in zip(kinds, values))
+        args = tuple(("+" if v else "-") if k == SIGN else v for k, v in zip(kinds, gen))
         specs.append(LayerSpec(layer, args, pos, getattr(gen, "payload", None)))
     return DiagramDecl(name, src_name, tgt_name, tuple(specs), d.mode)
 

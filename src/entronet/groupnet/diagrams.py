@@ -19,10 +19,10 @@ evaluation works on the expansion.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
-from ..mirror import mirrored, signed_pairs
+from ..mirror import mirrored, record, signed_pairs
 from ..slices import Calculus, LayerError
 from .cohomology import Cocycle1, Cocycle2, is_normalized
 from .groups import GModule, Group, UElt
@@ -68,16 +68,13 @@ def _R(G: Group, g: int) -> GPt:
 
 
 # -- generators -------------------------------------------------------------
+# Records of group element indices (int), bool sides or a module element.
 # Splits, caps and second-kind splits are the mirrors of merges, cups and
 # second-kind merges: the same fields, domain and codomain swapped.
 
 
-@dataclass(frozen=True)
-class VMergeL:
+class VMergeL(record("s t")):
     """[s L, t L] -> [st L]."""
-
-    s: int
-    t: int
 
     def dom(self, G: Group) -> GObj:
         return (_L(G, self.s), _L(G, self.t))
@@ -89,12 +86,8 @@ class VMergeL:
 VSplitL = mirrored(VMergeL, "VSplitL", "[st L] -> [s L, t L].")
 
 
-@dataclass(frozen=True)
-class VMergeR:
+class VMergeR(record("s t")):
     """[s R, t R] -> [ts R]."""
-
-    s: int
-    t: int
 
     def dom(self, G: Group) -> GObj:
         return (_R(G, self.s), _R(G, self.t))
@@ -106,12 +99,8 @@ class VMergeR:
 VSplitR = mirrored(VMergeR, "VSplitR", "[ts R] -> [s R, t R].")
 
 
-@dataclass(frozen=True)
-class GFlip:
+class GFlip(record("g from_left")):
     """Reversal mark on a strand: [g s] -> [g^-1 sbar]."""
-
-    g: int
-    from_left: bool
 
     def dom(self, G: Group) -> GObj:
         return (_pt(G, self.g, self.from_left),)
@@ -120,11 +109,8 @@ class GFlip:
         return (_pt(G, G.inv(self.g), not self.from_left),)
 
 
-@dataclass(frozen=True)
-class GCupLR:
+class GCupLR(record("g")):
     """Outward arc from below: [] -> [g L, g R] (apex co-oriented down)."""
-
-    g: int
 
     def dom(self, G: Group) -> GObj:
         return ()
@@ -133,11 +119,8 @@ class GCupLR:
         return (_L(G, self.g), _R(G, self.g))
 
 
-@dataclass(frozen=True)
-class GCupRL:
+class GCupRL(record("g")):
     """Inward arc from below: [] -> [g R, g L] (apex co-oriented up)."""
-
-    g: int
 
     def dom(self, G: Group) -> GObj:
         return ()
@@ -150,11 +133,8 @@ GCapLR = mirrored(GCupLR, "GCapLR", "Closing arc over [g L, g R] (apex co-orient
 GCapRL = mirrored(GCupRL, "GCapRL", "Closing arc over [g R, g L] (apex co-oriented down).")
 
 
-@dataclass(frozen=True)
-class GDot:
+class GDot(record("u")):
     """A module label floating in a gap."""
-
-    u: UElt
 
     def dom(self, G: Group) -> GObj:
         return ()
@@ -166,23 +146,14 @@ class GDot:
 # Vertices of the second kind, as macros over a flip plus a first-kind vertex.
 
 
-def _reflect(gen):
-    """gen's mirror, with gen's field values."""
-    return gen.mirror(*(getattr(gen, f.name) for f in fields(gen)))
-
-
 def _split_expand(self, G: Group):
     """The reflection of the mirror merge's expansion: a flip then a split."""
-    merge, flip = _reflect(self).expand(G)
-    return (GFlip(G.inv(flip.g), not flip.from_left), _reflect(merge))
+    merge, flip = self.mirror(*self).expand(G)
+    return (GFlip(G.inv(flip.g), not flip.from_left), merge.mirror(*merge))
 
 
-@dataclass(frozen=True)
-class T2MergeRR:
+class T2MergeRR(record("s t")):
     """[s R, t R] -> [(ts)^-1 L]; expands to a right merge then a flip."""
-
-    s: int
-    t: int
 
     def dom(self, G: Group) -> GObj:
         return (_R(G, self.s), _R(G, self.t))
@@ -194,12 +165,8 @@ class T2MergeRR:
         return (VMergeR(self.s, self.t), GFlip(G.mul(self.t, self.s), False))
 
 
-@dataclass(frozen=True)
-class T2MergeLL:
+class T2MergeLL(record("s t")):
     """[s L, t L] -> [(st)^-1 R]; expands to a left merge then a flip."""
-
-    s: int
-    t: int
 
     def dom(self, G: Group) -> GObj:
         return (_L(G, self.s), _L(G, self.t))
@@ -265,13 +232,13 @@ def calculus(G: Group) -> Calculus:
 
     def boundary(gen: GGenerator) -> tuple[GObj, GObj]:
         """(gen.dom(G), gen.cod(G)), kept on the instance with G as (G, pair)
-        and rebuilt when asked under another group.  Generators are frozen;
-        the pair is not a field, so repr, == and hash ignore it."""
+        and rebuilt when asked under another group.  The pair is kept in the
+        record's __dict__, not among its fields, so repr, == and hash ignore it."""
         kept = getattr(gen, "_boundary", None)
         if kept is not None and kept[0] is G:
             return kept[1]
         pair = (gen.dom(G), gen.cod(G))
-        object.__setattr__(gen, "_boundary", (G, pair))
+        gen._boundary = (G, pair)
         return pair
 
     return Calculus(

@@ -224,9 +224,6 @@ class GModule:
     def sub(self, u: UElt, v: UElt) -> UElt:
         return self.add(u, self.neg(v))
 
-    def smul(self, k: int, u: UElt) -> UElt:
-        return _reduce(tuple(k * a for a in u), self.moduli)
-
     def act(self, g: int, u: UElt) -> UElt:
         mat = self.action[g]
         return _reduce(

@@ -92,7 +92,7 @@ def _svg(calc, d, *, stroke, label, label_dx, dot_label=None) -> str:
     boundary point, drawn label_dx left of its strand; dot_label(gen), when
     given, writes next to each dot.
     """
-    sts = calc.states(d.source, d.layers)
+    sts = list(calc.states(d.source, d.layers))
     canvas = _Canvas()
     height = MARGIN * 2 + LAYER_HEIGHT * max(1, len(d.layers))
     width = MARGIN * 2 + STRAND_GAP * max(1, max(len(s) for s in sts))

@@ -203,13 +203,14 @@ def random_diagram(
 
 
 def random_gmodule(rng: random.Random, group: Group) -> GModule:
-    """A small module over the group: trivial action, or scaling for Aff1(F3)."""
+    """A cyclic module Z/m over the group, m from 2 to 6, with trivial action."""
     m = rng.choice([2, 3, 4, 5, 6])
     return GModule.trivial(group, (m,))
 
 
 def random_normalized_cocycle(rng: random.Random, module: GModule) -> Cocycle2:
-    """A random coboundary shift (optionally seeded with a solver class rep)."""
+    """The coboundary of a random cochain that is zero at the identity: a
+    normalized two-cocycle in the trivial class."""
     G = module.group
     b = [module.zero()] + [
         module.reduce(tuple(rng.randrange(m) for m in module.moduli))

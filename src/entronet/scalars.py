@@ -313,9 +313,6 @@ class Factorization:
                 den *= p ** (-e)
         return Fraction(num, den)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.exponents)
-
 
 def factor(q: Fraction | int) -> Factorization:
     """Factorization of a nonzero rational."""

@@ -57,12 +57,14 @@ class Calculus:
             obj = splice(obj, *boundary(gen), pos, i)
         return obj
 
-    def states(self, source: Iterable, layers: Iterable) -> list[tuple]:
-        """Objects between layers, from the source (index 0) to the target."""
-        out = [tuple(source)]
+    def states(self, source: Iterable, layers: Iterable) -> Iterator[tuple]:
+        """Yield the objects between layers in turn, from the source to the
+        target; each layer is checked, naming its index, as its object is built."""
+        obj, boundary, splice = tuple(source), self.boundary, self._splice
+        yield obj
         for i, (gen, pos) in enumerate(layers):
-            out.append(self._splice(out[-1], *self.boundary(gen), pos, i))
-        return out
+            obj = splice(obj, *boundary(gen), pos, i)
+            yield obj
 
     def windings(self, obj: Iterable) -> list:
         """The winding of every gap of obj, from gap 0 to gap len(obj)."""
@@ -78,11 +80,12 @@ class Calculus:
         return self.windings(obj[:gap])[-1]
 
     def winding_at(self, source: Iterable, layers: Iterable, layer: int, gap: int):
-        """Winding of a gap in the object just below the given layer index."""
-        st = self.states(source, layers)
-        if layer < 0 or layer >= len(st):
-            raise self.out_of_range(f"layer {layer} of {len(st)} states")
-        return self.winding(st[layer], gap)
+        """Winding of a gap in the object just below the given layer index;
+        the layers from that index up are not applied."""
+        for i, obj in enumerate(self.states(source, layers)):  # the source at least
+            if i == layer:
+                return self.winding(obj, gap)
+        raise self.out_of_range(f"layer {layer} of {i + 1} states")
 
     def walk(self, source: Iterable, layers: Iterable) -> Iterator[tuple[Any, Any]]:
         """Apply each layer in turn and yield (w, gen), w the winding at its position.

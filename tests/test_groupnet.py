@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 
 from entronet.groupnet.cohomology import (
@@ -166,12 +164,12 @@ def test_second_kind_splits_after_their_boundary_is_kept():
 
 def test_boundary_is_kept_per_group():
     gen = VMergeL(1, 2)
-    shown = (repr(gen), hash(gen), fields(gen))
+    shown = (repr(gen), hash(gen), gen._fields)
     c3, c5 = Group.cyclic(3), Group.cyclic(5)
     for G, product in ((c3, 0), (c5, 3), (c3, 0)):
         assert calculus(G).apply((L(1), L(2)), gen, 0) == (L(product),)
         assert calculus(G).boundary(gen) == (gen.dom(G), gen.cod(G))
-    assert (repr(gen), hash(gen), fields(gen)) == shown
+    assert (repr(gen), hash(gen), gen._fields) == shown
     assert gen == VMergeL(1, 2) and VMergeL(1, 2) == gen
     # points of the group's elements are shared; others are built afresh
     assert GCupLR(4).cod(c5)[0] is VMergeL(2, 2).cod(c5)[0]

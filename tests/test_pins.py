@@ -10,7 +10,6 @@ and the layers that reduce seeded objects to their weight.  The seeds are the de
 import copy
 import hashlib
 import pickle
-from dataclasses import fields
 
 import pytest
 
@@ -225,7 +224,7 @@ def test_boundary_memo_is_invisible(draws):
     ds = draws[0][:100] + draws[1][:50]
     gens = [gen for d in ds for gen, _ in d.layers]
     # the same generators built afresh, without a kept boundary
-    fresh = [type(g)(*(getattr(g, f.name) for f in fields(g))) for g in gens]
+    fresh = [type(g)(*(getattr(g, f) for f in g._fields)) for g in gens]
     for d in ds:
         af.validate(d)
         af.j_invariant(d)
