@@ -14,15 +14,17 @@ by (boundary, evaluation).
 
 Modes: "J" evaluates into the symbol space (prime vectors), "H" into exact
 entropy scalars, "Hfloat" into doubles.  Boundary weights stay rational in
-every mode; only evaluation arithmetic and dot payloads change.
+every mode; only evaluation arithmetic and dot payloads change, one row of
+MODE_TABLE per mode.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .jspace import (
     EntropyScalar,
@@ -32,6 +34,7 @@ from .jspace import (
     symbol,
 )
 from .mirror import mirrored, record, signed_pairs
+from .scalars import to_double
 from .slices import Calculus, LayerError
 
 Rational = Fraction
@@ -39,7 +42,6 @@ Rational = Fraction
 MODE_J = "J"
 MODE_H = "H"
 MODE_HFLOAT = "Hfloat"
-MODES = (MODE_J, MODE_H, MODE_HFLOAT)
 
 FLOAT_TOL = 1e-10
 
@@ -308,7 +310,7 @@ class Diagram:
     mode: str = MODE_J
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in MODE_TABLE:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     def with_mode(self, mode: str) -> "Diagram":
@@ -392,40 +394,54 @@ def jstar(obj: Obj) -> PrimeVector:
 # Evaluation.
 
 
-def _zero_value(mode: str):
-    if mode == MODE_J:
-        return PrimeVector()
-    if mode == MODE_H:
-        return EntropyScalar.zero()
-    return 0.0
+class Mode(NamedTuple):
+    """One row of MODE_TABLE.  dot(payload) raises KindMismatch for a payload
+    of the wrong kind; entropy is None where a value is no entropy scalar."""
+
+    zero: object
+    vertex: Callable[[Fraction, Fraction], object]
+    scale: Callable[[object, Fraction], object]
+    dot: Callable[[DotPayload], object]
+    equal: Callable[[object, object], bool]
+    entropy: Callable[[object], EntropyScalar] | None
 
 
-def _vertex_value(mode: str, a: Fraction, b: Fraction):
-    if mode == MODE_J:
-        return symbol(a, b)
-    if mode == MODE_H:
-        return entropy_render(symbol(a, b))
-    return bracket_H_float(float(a), float(b))
+def _payloads(kinds, message: str, value=lambda payload: payload):
+    def dot(payload):
+        if not isinstance(payload, kinds):
+            raise KindMismatch(message)
+        return value(payload)
+
+    return dot
 
 
-def _scale_value(mode: str, w: Fraction, value):
-    if mode == MODE_HFLOAT:
-        return float(w) * value
-    return value.scaled(w)
-
-
-def _dot_value(mode: str, payload: DotPayload):
-    if mode == MODE_J:
-        if not isinstance(payload, PrimeVector):
-            raise KindMismatch("J-mode dots carry prime vectors")
-        return payload
-    if mode == MODE_H:
-        if not isinstance(payload, EntropyScalar):
-            raise KindMismatch("H-mode dots carry entropy scalars")
-        return payload
-    if not isinstance(payload, (float, int)):
-        raise KindMismatch("Hfloat-mode dots carry floats")
-    return float(payload)
+MODE_TABLE = {
+    MODE_J: Mode(
+        PrimeVector(),
+        symbol,
+        PrimeVector.scaled,
+        _payloads(PrimeVector, "J-mode dots carry prime vectors"),
+        operator.eq,
+        entropy_render,
+    ),
+    MODE_H: Mode(
+        EntropyScalar.zero(),
+        lambda a, b: entropy_render(symbol(a, b)),
+        EntropyScalar.scaled,
+        _payloads(EntropyScalar, "H-mode dots carry entropy scalars"),
+        operator.eq,
+        lambda value: value,
+    ),
+    MODE_HFLOAT: Mode(
+        0.0,
+        lambda a, b: bracket_H_float(to_double(a), to_double(b)),
+        lambda value, w: to_double(w) * value,
+        _payloads((float, int), "Hfloat-mode dots carry floats", to_double),
+        lambda x, y: x == y or abs(x - y) <= FLOAT_TOL,  # inf - inf is nan
+        None,
+    ),
+}
+MODES = tuple(MODE_TABLE)
 
 
 # Sign of each additive vertex's winding-scaled symbol; a split takes the
@@ -433,27 +449,16 @@ def _dot_value(mode: str, payload: DotPayload):
 _VERTEX_SIGNS = signed_pairs({AddMerge: 1, AddMergeDual: -1})
 
 
-def layer_contribution(mode: str, w: Fraction, gen: Generator):
-    """Evaluation contribution of one layer at winding w."""
-    sign = _VERTEX_SIGNS.get(type(gen))
-    if sign is not None:
-        return _scale_value(mode, w if sign > 0 else -w, _vertex_value(mode, gen.a, gen.b))
-    return _dot_term(mode, w, gen)
-
-
-def _dot_term(mode: str, w: Fraction, gen: Generator):
-    if isinstance(gen, Dot):
-        return _scale_value(mode, w, _dot_value(mode, gen.payload))
-    return None
-
-
 def j_invariant(d: Diagram):
     """Evaluation of the diagram: prime vector, entropy scalar, or float."""
-    total = _zero_value(d.mode)
+    mode = MODE_TABLE[d.mode]
+    total = mode.zero
     for w, gen in AFFINE.walk(d.source, d.layers):
-        piece = layer_contribution(d.mode, w, gen)
-        if piece is not None:
-            total = total + piece
+        sign = _VERTEX_SIGNS.get(type(gen))
+        if sign is not None:
+            total = total + mode.scale(mode.vertex(gen.a, gen.b), w if sign > 0 else -w)
+        elif isinstance(gen, Dot):
+            total = total + mode.scale(mode.dot(gen.payload), w)
     return total
 
 
@@ -470,16 +475,15 @@ def dot_contribution(d: Diagram):
         if isinstance(gen, Dot):
             dots.append((AFFINE.winding(below, pos), gen))
         below = above
-    total = _zero_value(d.mode)
+    mode = MODE_TABLE[d.mode]
+    total = mode.zero
     for w, gen in dots:
-        total = total + _dot_term(d.mode, w, gen)
+        total = total + mode.scale(mode.dot(gen.payload), w)
     return total
 
 
 def values_equal(mode: str, x, y) -> bool:
-    if mode == MODE_HFLOAT:
-        return abs(x - y) <= FLOAT_TOL
-    return x == y
+    return MODE_TABLE[mode].equal(x, y)
 
 
 # ---------------------------------------------------------------------------

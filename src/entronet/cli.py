@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 parse error,
-3 validation error, 4 usage error (an input past a size bound or the
-factoring budget included).  Results go to stdout, diagnostics to stderr;
-`--json` switches results to one JSON object.
+3 validation error, 4 usage error (an input past a size bound, the
+factoring budget or the double range included).  Results go to stdout,
+diagnostics to stderr; `--json` switches results to one JSON object.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .groupnet.diagrams import (
     validate_gdiagram,
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
-from .jspace import EntropyScalar, entropy_render, render_float
-from .scalars import FactoringBudgetExceeded, parse_rational
+from .jspace import render_float
+from .scalars import DoubleRangeExceeded, FactoringBudgetExceeded, parse_rational
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -113,30 +113,24 @@ def cmd_weight(args) -> int:
 def cmd_jinv(args) -> int:
     resolved = _load(args.file)
     d = _need(resolved.diagrams, args.diagram, "diagram")
+    row = af.MODE_TABLE[d.mode]
     value = af.j_invariant(d)
-    fmt = args.format
-    if fmt == "prime-vector":
-        if isinstance(value, EntropyScalar):
-            raise CliError("diagram evaluates to an entropy scalar; use --format entropy", EXIT_USAGE)
-        if isinstance(value, float):
-            raise CliError("float-mode diagram; use --format float", EXIT_USAGE)
-        _emit(args, [value.to_text()], {"prime_vector": value.to_text()})
-    elif fmt == "entropy":
-        if isinstance(value, float):
-            raise CliError("float-mode diagram; use --format float", EXIT_USAGE)
-        if not isinstance(value, EntropyScalar):
-            value = entropy_render(value)
+    if args.format == "float":
+        value = value if row.entropy is None else render_float(row.entropy(value))
+        _emit(args, [repr(value)], {"float": value})
+    elif row.entropy is None:
+        raise CliError("float-mode diagram; use --format float", EXIT_USAGE)
+    elif args.format == "entropy":
+        value = row.entropy(value)
         _emit(
             args,
             [value.pretty()],
             {"constant": str(value.constant), "logpart": value.logpart.to_text()},
         )
+    elif d.mode != af.MODE_J:
+        raise CliError("diagram evaluates to an entropy scalar; use --format entropy", EXIT_USAGE)
     else:
-        if isinstance(value, EntropyScalar):
-            value = render_float(value)
-        elif not isinstance(value, float):
-            value = render_float(entropy_render(value))
-        _emit(args, [repr(value)], {"float": value})
+        _emit(args, [value.to_text()], {"prime_vector": value.to_text()})
     return EXIT_OK
 
 
@@ -497,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     except af.DiagramError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except FactoringBudgetExceeded as exc:
+    except (FactoringBudgetExceeded, DoubleRangeExceeded) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,6 +15,7 @@ a canonical form and `parse(print(x))` returns an identical syntax tree.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,7 +53,7 @@ from .groupnet.diagrams import (
     calculus,
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
-from .scalars import format_rational
+from .scalars import DoubleRangeExceeded, format_rational, to_double
 from .slices import Calculus, LayerError
 
 
@@ -381,14 +382,20 @@ class _Parser:
             value = Fraction(num)
         return -value if neg else value
 
-    def parse_number(self):
-        """Rational or float; floats carry a dot or exponent."""
+    def parse_double(self) -> float:
+        """A finite double: a float literal (with a dot or an exponent) or a rational."""
         start = self.i
         neg = self.accept("sym", "-") is not None
-        if self.peek().kind != "float":
+        tok = self.peek()
+        if tok.kind != "float":
             self.i = start
-            return self.parse_rational()
+            try:
+                return to_double(self.parse_rational())
+            except DoubleRangeExceeded as exc:
+                self.fail(str(exc), tok)
         val = float(self.next().text)
+        if not math.isfinite(val):
+            self.fail("float literal past the double range", tok)
         return -val if neg else val
 
     def parse_prime_vector(self) -> PrimeVector:
@@ -480,8 +487,7 @@ class _Parser:
     def parse_payload(self, mode: str) -> Payload:
         tok = self.peek()
         if mode == af.MODE_HFLOAT:
-            value = self.parse_number()
-            return float(value)
+            return self.parse_double()
         if tok.kind == "sym" and tok.text == "{":
             vec = self.parse_prime_vector()
             if mode == af.MODE_H:

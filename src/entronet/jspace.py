@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import NonzeroExpected, coprime_base, factor, factor_int, format_rational
+from .scalars import NonzeroExpected, coprime_base, factor, factor_int, format_rational, to_double
 
 Rational = Fraction
 
@@ -302,7 +302,7 @@ def entropy_render(v: PrimeVector) -> EntropyScalar:
 
 
 def render_float(s: EntropyScalar) -> float:
-    return float(s.constant) + sum(float(c) * math.log(p) for p, c in s.logpart.items())
+    return to_double(s.constant) + sum(to_double(c) * math.log(p) for p, c in s.logpart.items())
 
 
 def psi_float(a: float) -> float:

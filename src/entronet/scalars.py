@@ -4,7 +4,9 @@ Rationals are plain :class:`fractions.Fraction` values (always in lowest
 terms, positive denominator, arbitrary precision).  This module supplies the
 multiplicative bookkeeping the rest of the package needs: a nonzero rational
 decomposed into a sign and finitely many prime exponents, a pairwise coprime
-base for a few integers, and p-adic valuations.
+base for a few integers, and p-adic valuations.  `to_double` converts a
+rational to a double; past the double range it raises DoubleRangeExceeded,
+which the command line also reports as a usage error (exit 4).
 
 Factoring an integer takes three stages:
 
@@ -67,6 +69,10 @@ class NotPrime(ValueError):
 
 class FactoringBudgetExceeded(ValueError):
     """Raised when factor_int cannot finish within FACTORING_BUDGET."""
+
+
+class DoubleRangeExceeded(ValueError):
+    """Raised when a rational converted to a double is past the largest finite one."""
 
 
 class _Budget:
@@ -363,3 +369,13 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return str(q)
+
+
+def to_double(q: Fraction | int | float) -> float:
+    """q as the nearest double, or DoubleRangeExceeded past the double range."""
+    try:
+        return float(q)
+    except OverflowError:
+        q = Fraction(q)
+        bits = q.numerator.bit_length() - q.denominator.bit_length()
+        raise DoubleRangeExceeded(f"a rational near 2**{bits} is past the double range") from None

@@ -3,7 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from entronet import affine as af
-from entronet.jspace import EntropyScalar, PrimeVector, render_float, symbol
+from entronet.jspace import (
+    EntropyScalar,
+    PrimeVector,
+    bracket_H_float,
+    entropy_render,
+    render_float,
+    symbol,
+)
 from entronet.sampling import random_diagram, random_distribution, seeded_rng
 
 
@@ -405,3 +412,114 @@ def test_j_invariant_is_the_affine_group_fold():
         assert af.j_invariant(d) == _affine_fold(d)
         vertices += sum(type(gen) in _FOLD_SIGNS for gen, _ in d.layers)
     assert vertices > 500
+
+
+# -- the mode table against the per-mode chains it replaced -----------------------
+
+
+def _zero_value(mode):
+    if mode == af.MODE_J:
+        return PrimeVector()
+    if mode == af.MODE_H:
+        return EntropyScalar.zero()
+    return 0.0
+
+
+def _vertex_value(mode, a, b):
+    if mode == af.MODE_J:
+        return symbol(a, b)
+    if mode == af.MODE_H:
+        return entropy_render(symbol(a, b))
+    return bracket_H_float(float(a), float(b))
+
+
+def _scale_value(mode, w, value):
+    if mode == af.MODE_HFLOAT:
+        return float(w) * value
+    return value.scaled(w)
+
+
+def _dot_value(mode, payload):
+    if mode == af.MODE_J:
+        if not isinstance(payload, PrimeVector):
+            raise af.KindMismatch("J-mode dots carry prime vectors")
+        return payload
+    if mode == af.MODE_H:
+        if not isinstance(payload, EntropyScalar):
+            raise af.KindMismatch("H-mode dots carry entropy scalars")
+        return payload
+    if not isinstance(payload, (float, int)):
+        raise af.KindMismatch("Hfloat-mode dots carry floats")
+    return float(payload)
+
+
+def _layer_contribution(mode, w, gen):
+    sign = _FOLD_SIGNS.get(type(gen))
+    if sign is not None:
+        return _scale_value(mode, w if sign > 0 else -w, _vertex_value(mode, gen.a, gen.b))
+    if isinstance(gen, af.Dot):
+        return _scale_value(mode, w, _dot_value(mode, gen.payload))
+    return None
+
+
+def _chain_j_invariant(d):
+    total = _zero_value(d.mode)
+    for w, gen in af.AFFINE.walk(d.source, d.layers):
+        piece = _layer_contribution(d.mode, w, gen)
+        if piece is not None:
+            total = total + piece
+    return total
+
+
+def _chain_dot_contribution(d):
+    total = _zero_value(d.mode)
+    for obj, (gen, pos) in zip(af.AFFINE.states(d.source, d.layers), d.layers):
+        if isinstance(gen, af.Dot):
+            total = total + _layer_contribution(d.mode, af.AFFINE.winding(obj, pos), gen)
+    return total
+
+
+def _same(mode, x, y):
+    """Equal values in J and H; the identical double in Hfloat."""
+    return repr(x) == repr(y) if mode == af.MODE_HFLOAT else x == y
+
+
+@pytest.mark.parametrize("mode", af.MODES)
+def test_mode_table_matches_the_mode_chains(mode):
+    rng = seeded_rng(93)
+    dots = 0
+    for _ in range(500):
+        d = random_diagram(rng, mode=mode, max_strands=8, max_layers=14, max_num=6)
+        assert _same(mode, af.j_invariant(d), _chain_j_invariant(d))
+        assert _same(mode, af.dot_contribution(d), _chain_dot_contribution(d))
+        dots += sum(isinstance(gen, af.Dot) for gen, _ in d.layers)
+    assert dots > 100
+
+
+_PAYLOADS = (PrimeVector({2: F(1)}), EntropyScalar(F(1), PrimeVector()), 0.5, 2, F(1, 2), "1")
+
+
+@pytest.mark.parametrize("mode", af.MODES)
+@pytest.mark.parametrize("payload", _PAYLOADS, ids=repr)
+def test_mode_table_checks_payloads_like_the_mode_chains(mode, payload):
+    d = af.Diagram((X(1),), ((af.Dot(payload), 0),), mode)
+    try:
+        want = _dot_value(mode, payload)
+    except af.KindMismatch as exc:
+        for evaluate in (af.j_invariant, af.dot_contribution):
+            with pytest.raises(af.KindMismatch) as info:
+                evaluate(d)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        assert _same(mode, af.j_invariant(d), want)
+        assert _same(mode, af.dot_contribution(d), want)
+
+
+def test_float_equality_of_infinities():
+    inf = float("inf")
+    assert af.values_equal(af.MODE_HFLOAT, inf, inf)
+    assert af.values_equal(af.MODE_HFLOAT, -inf, -inf)
+    assert not af.values_equal(af.MODE_HFLOAT, inf, -inf)
+    assert not af.values_equal(af.MODE_HFLOAT, inf, 1e308)
+    assert not af.values_equal(af.MODE_HFLOAT, float("nan"), float("nan"))
+    assert af.values_equal(af.MODE_HFLOAT, 1.0, 1.0 + 1e-12)

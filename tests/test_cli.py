@@ -230,6 +230,26 @@ def test_jinv_formats(capsys):
     assert code == 0 and abs(float(out) - 1.0397207708399179) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "name, diagram, fmt, refusal",
+    [
+        ("worked_example.net", "worked", "entropy", None),
+        ("worked_example.net", "worked", "float", None),
+        ("entropy_fold.net", "fold", "prime-vector",
+         "diagram evaluates to an entropy scalar; use --format entropy"),
+        ("floaty.net", "halves", "prime-vector", "float-mode diagram; use --format float"),
+        ("floaty.net", "halves", "entropy", "float-mode diagram; use --format float"),
+        ("floaty.net", "halves", "float", None),
+    ],
+)
+def test_jinv_formats_per_mode(capsys, name, diagram, fmt, refusal):
+    code, out, err = run(capsys, "jinv", fx(name), "--diagram", diagram, "--format", fmt)
+    if refusal is None:
+        assert code == 0 and len(out.splitlines()) == 1 and err == ""
+    else:
+        assert (code, out, err) == (cli.EXIT_USAGE, "", refusal + "\n")
+
+
 def test_chain_command(capsys):
     code, out, _ = run(capsys, "chain", "--z", "1/2,1/2", "--y", "1/3,2/3", "--y", "1")
     assert code == 0 and out.strip() == "verified"
@@ -349,6 +369,23 @@ def test_render_command(capsys, tmp_path):
 
 
 _N = 1152921504606859327 * 309485009821345068724848949
+_BIG = 10**400  # past the double range
+
+
+class _Source(str):
+    """The text of a .net file in an argv row; the row runs on a file holding it."""
+
+
+def _path_of(tmp_path, arg):
+    if not isinstance(arg, _Source):
+        return arg
+    path = tmp_path / "input.net"
+    path.write_text(arg)
+    return str(path)
+
+
+def _hfloat_dot(payload):
+    return _Source(f"mode Hfloat\nobject Z = X+(1)\ndiagram D : Z -> Z {{ dot @0 {payload}; }}\n")
 
 
 @pytest.mark.parametrize(
@@ -378,13 +415,40 @@ _N = 1152921504606859327 * 309485009821345068724848949
           os.path.join(FIXTURES, "no-such-dir", "x.net")), cli.EXIT_USAGE),
         (("render", fx("worked_example.net"), "--diagram", "worked", "-o",
           os.path.join(FIXTURES, "no-such-dir", "x.svg")), cli.EXIT_USAGE),
+        # weights and exact values past the double range, asked for as a double
+        (("jinv", _Source(f"mode Hfloat\nobject Z0 = X+({_BIG}) X+(1)\nobject Z1 = X+({_BIG + 1})\n"
+                          "diagram D : Z0 -> Z1 { add_merge @0; }\n"),
+          "--diagram", "D", "--format", "float"), cli.EXIT_USAGE),
+        (("jinv", _Source(f"mode H\nobject Z = X+(1)\n"
+                          f"diagram D : Z -> Z {{ dot @0 {_BIG} + {{2: 1}}; }}\n"),
+          "--diagram", "D", "--format", "float"), cli.EXIT_USAGE),
+        (("entropy", "--dist", f"{2**1400},{2**1400}"), cli.EXIT_USAGE),
+        # float payloads are finite doubles
+        (("validate", _hfloat_dot("1e999")), cli.EXIT_PARSE),
+        (("validate", _hfloat_dot("-1e999")), cli.EXIT_PARSE),
+        (("validate", _hfloat_dot(_BIG)), cli.EXIT_PARSE),
     ],
 )
-def test_bad_input_exit_codes(capsys, argv, want):
-    code, out, err = run(capsys, *argv)
+def test_bad_input_exit_codes(capsys, tmp_path, argv, want):
+    code, out, err = run(capsys, *(_path_of(tmp_path, arg) for arg in argv))
     assert code == want
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     assert out == ""
+
+
+def test_check_rewrites_with_infinite_float_dots(tmp_path):
+    """Two dots of 1e308 sum to inf, and inf equals inf, with and without -O."""
+    path = tmp_path / "inf.net"
+    path.write_text(
+        "mode Hfloat\nobject Z0 = X+(1) X+(2)\n"
+        "diagram D : Z0 -> Z0 { dot @0 1e308; dot @0 1e308; add_merge @0; add_split(1, 2) @0; }\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for flags in ([], ["-O"]):
+        argv = [sys.executable, *flags, "-m", "entronet.cli", "check-rewrites", str(path),
+                "--diagram", "D"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "verified: 100 rewrites applied\n", "")
 
 
 def test_usage_errors(capsys):

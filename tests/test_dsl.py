@@ -61,6 +61,24 @@ def test_zero_denominator_position():
     assert info.value.line == 1 and info.value.col == 17  # points at the denominator
 
 
+@pytest.mark.parametrize("payload", ["1e999", "-1e999", "1.5e400", str(10**400)],
+                         ids=lambda p: p if len(p) < 10 else f"{len(p)}-digit")
+def test_float_payload_past_the_double_range_position(payload):
+    text = f"mode Hfloat\nobject Z = X+(1)\ndiagram D : Z -> Z {{ dot @0 {payload}; }}\n"
+    with pytest.raises(dsl.ParseError) as info:
+        dsl.parse(text)
+    assert "past the double range" in str(info.value)
+    col = 30 if payload.startswith("-") else 29
+    assert info.value.line == 3 and info.value.col == col  # points at the literal
+
+
+def test_largest_float_payloads_round_trip():
+    text = ("mode Hfloat\nobject Z = X+(1)\n"
+            "diagram D : Z -> Z { dot @0 1.7976931348623157e308; dot @0 -5e-324; }\n")
+    sf = dsl.parse(text)
+    assert dsl.parse(dsl.print_source(sf)) == sf
+
+
 def test_errors_carry_positions():
     with pytest.raises(dsl.ParseError) as info:
         dsl.parse("object Z = X+(1)\nobject W = X*(2)\n")
