@@ -24,6 +24,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .jspace import (
@@ -305,6 +306,15 @@ Layer = tuple[Generator, int]
 
 @dataclass(frozen=True)
 class Diagram:
+    """A source object, its layers bottom to top, and an evaluation mode.
+
+    The target (`validate`) and the value (`j_invariant`) are computed on the
+    first call and kept on the instance, so each diagram object is validated
+    and evaluated once.  The fields never change, so neither goes stale; a
+    call that raises keeps nothing.  Both are kept outside the fields, so
+    repr, == and hash ignore them, and a copy or pickle leaves them behind.
+    """
+
     source: Obj
     layers: tuple[Layer, ...]
     mode: str = MODE_J
@@ -313,8 +323,19 @@ class Diagram:
         if self.mode not in MODE_TABLE:
             raise ValueError(f"unknown mode {self.mode!r}")
 
+    def __reduce__(self):
+        return Diagram, (self.source, self.layers, self.mode)
+
     def with_mode(self, mode: str) -> "Diagram":
         return Diagram(self.source, self.layers, mode)
+
+    @cached_property
+    def _target(self) -> Obj:
+        return AFFINE.target(self.source, self.layers)
+
+    @cached_property
+    def _value(self):
+        return _evaluate(self)
 
 
 def identity_diagram(obj: Sequence[Pt], mode: str = MODE_J) -> Diagram:
@@ -356,7 +377,7 @@ winding_product = AFFINE.winding
 
 def validate(d: Diagram) -> Obj:
     """Target object of a well-formed diagram; raises at the first bad layer."""
-    return AFFINE.target(d.source, d.layers)
+    return d._target
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +470,7 @@ MODES = tuple(MODE_TABLE)
 _VERTEX_SIGNS = signed_pairs({AddMerge: 1, AddMergeDual: -1})
 
 
-def j_invariant(d: Diagram):
-    """Evaluation of the diagram: prime vector, entropy scalar, or float."""
+def _evaluate(d: Diagram):
     mode = MODE_TABLE[d.mode]
     total = mode.zero
     for w, gen in AFFINE.walk(d.source, d.layers):
@@ -460,6 +480,11 @@ def j_invariant(d: Diagram):
         elif isinstance(gen, Dot):
             total = total + mode.scale(mode.dot(gen.payload), w)
     return total
+
+
+def j_invariant(d: Diagram):
+    """Evaluation of the diagram: prime vector, entropy scalar, or float."""
+    return d._value
 
 
 def dot_contribution(d: Diagram):

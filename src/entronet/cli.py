@@ -114,12 +114,15 @@ def cmd_jinv(args) -> int:
     resolved = _load(args.file)
     d = _need(resolved.diagrams, args.diagram, "diagram")
     row = af.MODE_TABLE[d.mode]
+    # refuse a format the mode cannot give before evaluating
+    if args.format != "float" and row.entropy is None:
+        raise CliError("float-mode diagram; use --format float", EXIT_USAGE)
+    if args.format == "prime-vector" and d.mode != af.MODE_J:
+        raise CliError("diagram evaluates to an entropy scalar; use --format entropy", EXIT_USAGE)
     value = af.j_invariant(d)
     if args.format == "float":
         value = value if row.entropy is None else render_float(row.entropy(value))
         _emit(args, [repr(value)], {"float": value})
-    elif row.entropy is None:
-        raise CliError("float-mode diagram; use --format float", EXIT_USAGE)
     elif args.format == "entropy":
         value = row.entropy(value)
         _emit(
@@ -127,8 +130,6 @@ def cmd_jinv(args) -> int:
             [value.pretty()],
             {"constant": str(value.constant), "logpart": value.logpart.to_text()},
         )
-    elif d.mode != af.MODE_J:
-        raise CliError("diagram evaluates to an entropy scalar; use --format entropy", EXIT_USAGE)
     else:
         _emit(args, [value.to_text()], {"prime_vector": value.to_text()})
     return EXIT_OK

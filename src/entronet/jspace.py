@@ -20,7 +20,9 @@ denominators over a pairwise coprime base, sums the integer coefficient of
 each base element, and factors just the elements whose coefficient is
 nonzero.  <N,N> = -2N log 2 never factors N.  A surviving element that does
 not factor within the Pollard-Brent budget raises
-`scalars.FactoringBudgetExceeded`.
+`scalars.FactoringBudgetExceeded`.  When all six integers are below
+TRIAL_DIVISION_BOUND**2, where trial division alone factors them, each is
+factored directly (usually from factor_int's cache) and no base is built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .scalars import NonzeroExpected, coprime_base, factor, factor_int, format_rational, to_double
+from .scalars import (
+    TRIAL_DIVISION_BOUND,
+    NonzeroExpected,
+    coprime_base,
+    factor,
+    factor_int,
+    format_rational,
+    to_double,
+)
 
 Rational = Fraction
 
@@ -162,6 +172,16 @@ def symbol(a: Fraction, b: Fraction) -> PrimeVector:
         if w:
             terms += ((abs(num), w), (den, -w))
     out: dict[int, int] = {}
+    if max((n for n, _ in terms), default=0) < TRIAL_DIVISION_BOUND**2:
+        # trial division alone factors each, from factor_int's cache when warm
+        for n, w in terms:
+            for p, k in factor_int(n):
+                c = out.get(p, 0) + w * k
+                if c:
+                    out[p] = c
+                else:
+                    del out[p]
+        return PrimeVector._of(out, D)
     for e in coprime_base(n for n, _ in terms):
         c = 0
         for n, w in terms:

@@ -6,9 +6,15 @@ ENTRONET_SEED environment variable when set, so runs are reproducible.
 `random_diagram` draws lazily.  At each step it makes the same draws, in the
 same order, as if it built every applicable move: one rational (two integers)
 per split and cup, and the cups' gap and orientations.  It keeps each move as
-a builder and its raw arguments, and builds only the move `rng.choice` picks,
-so a seed gives the same diagrams as eager building would.
-`random_closed_gdiagram` draws its growing moves the same way.
+a builder and its raw arguments, and builds only the move it picks, so a seed
+gives the same diagrams as eager building would.  `random_closed_gdiagram`
+draws its growing moves the same way.
+
+A draw costs its bits.  The diagram and network generators draw integers with
+`_below`, CPython's own rejection loop behind `randint`, `randrange` and
+`choice` (`Random._randbelow`), without their argument handling: the same
+bits in the same order, so a seed gives the same stream as those calls.  The
+streams depend on that loop, as the hashes in tests/test_pins.py already do.
 """
 
 from __future__ import annotations
@@ -52,10 +58,25 @@ def seeded_rng(offset: int = 0) -> random.Random:
     return random.Random(seed + offset)
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """rng.randrange(n), given rng.getrandbits: k = n.bit_length() bits, drawn
+    again while they read n or more.  randint(a, b) is a + _below(., b - a + 1)
+    and choice(seq) is seq[_below(., len(seq))], bit for bit."""
+    if n <= 0:
+        raise ValueError(f"empty range below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw_rational(rng: random.Random, max_num: int, nonzero: bool = False) -> tuple[int, int]:
-    """The numerator and denominator random_rational draws, before any Fraction."""
+    """The numerator and denominator random_rational draws, before any Fraction:
+    randint(-max_num, max_num), then randint(1, max_num)."""
+    bits = rng.getrandbits
     while True:
-        n, d = rng.randint(-max_num, max_num), rng.randint(1, max_num)
+        n, d = _below(bits, 2 * max_num + 1) - max_num, _below(bits, max_num) + 1
         if n != 0 or not nonzero:
             return n, d
 
@@ -73,8 +94,9 @@ def random_distribution(rng: random.Random, n: int, max_num: int = 12) -> list[F
 
 def random_object(rng: random.Random, max_points: int = 5, max_num: int = 9) -> af.Obj:
     pts = []
-    for _ in range(rng.randint(0, max_points)):
-        kind = rng.choice("xXyY")
+    bits = rng.getrandbits
+    for _ in range(_below(bits, max_points + 1)):
+        kind = "xXyY"[_below(bits, 4)]
         if kind == "x":
             pts.append(af.xplus(random_rational(rng, max_num)))
         elif kind == "X":
@@ -139,7 +161,7 @@ def _applicable_generators(
         if kp is not kq and kp.additive is kq.additive and p.weight == q.weight:
             cap = af.CapX if kp.additive else af.CapY
             out.append((cap, (p.weight, kp is K.XP or kp is K.YP), i, -2))
-    gap = rng.randint(0, len(obj))
+    gap = _below(rng.getrandbits, len(obj) + 1)
     n, d = _draw_rational(rng, max_num)
     out.append((_cup, (af.CupX, n, d, rng.random() < 0.5), gap, 2))
     n, d = _draw_rational(rng, max_num, nonzero=True)
@@ -150,14 +172,14 @@ def _applicable_generators(
 def random_dot_payload(rng: random.Random, mode: str):
     if mode == af.MODE_J:
         v = PrimeVector()
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(_below(rng.getrandbits, 3)):
             v = v + symbol(random_rational(rng, 9), random_rational(rng, 9)).scaled(
                 random_rational(rng, 5)
             )
         return v
     if mode == af.MODE_H:
         v = PrimeVector()
-        for _ in range(rng.randint(0, 2)):
+        for _ in range(_below(rng.getrandbits, 3)):
             v = v + symbol(random_rational(rng, 9), random_rational(rng, 9))
         return EntropyScalar(random_rational(rng, 9), v)
     return rng.uniform(-2.0, 2.0)
@@ -175,11 +197,12 @@ def random_diagram(
     obj = random_object(rng, max_points=min(5, max_strands), max_num=max_num)
     layers: list[af.Layer] = []
     dots = 0
-    n_layers = rng.randint(0, max_layers)
+    bits = rng.getrandbits
+    n_layers = _below(bits, max_layers + 1)
     cur = obj
     for _ in range(n_layers):
         if dots < max_dots and rng.random() < 0.12:
-            gap = rng.randint(0, len(cur))
+            gap = _below(bits, len(cur) + 1)
             layers.append((af.Dot(random_dot_payload(rng, mode)), gap))
             dots += 1
             continue
@@ -191,7 +214,7 @@ def random_diagram(
         ]
         if not options:
             break
-        build, args, pos = rng.choice(options)
+        build, args, pos = options[_below(bits, len(options))]
         gen = build(*args)
         layers.append((gen, pos))
         cur = af.apply_layer(cur, gen, pos)
@@ -229,6 +252,8 @@ def random_closed_gdiagram(
     Dots, labelled in `module`, are drawn only when a module is given."""
     G = group
     apply = calculus(G).apply
+    table, inverse, order = G.table, G.inverse, G.order
+    bits = rng.getrandbits
     layers: list = []
     cur: tuple[GPt, ...] = ()
 
@@ -240,28 +265,29 @@ def random_closed_gdiagram(
     for _ in range(grow_layers):
         # each move as (build, args, position); only the chosen one is built
         choices = []
-        g = rng.randrange(G.order)
-        gap = rng.randint(0, len(cur))
+        g = _below(bits, order)
+        gap = _below(bits, len(cur) + 1)
         choices.append((GCupLR, (g,), gap))
         choices.append((GCupRL, (g,), gap))
         if module is not None and rng.random() < 0.3:
-            u = module.reduce(tuple(rng.randrange(m) for m in module.moduli))
+            u = module.reduce(tuple(_below(bits, m) for m in module.moduli))
             choices.append((GDot, (u,), gap))
         for i, pt in enumerate(cur):
             choices.append((GFlip, (pt.g, pt.left), i))
+            g_inv = inverse[pt.g]
             if pt.left:
-                s = rng.randrange(G.order)
-                t = G.mul(G.inv(s), pt.g)
+                s = _below(bits, order)
+                t = table[inverse[s]][pt.g]
                 choices.append((VSplitL, (s, t), i))
-                s2 = rng.randrange(G.order)
-                t2 = G.mul(G.inv(s2), G.inv(pt.g))  # t*s = g^-1
+                s2 = _below(bits, order)
+                t2 = table[inverse[s2]][g_inv]  # t*s = g^-1
                 choices.append((T2SplitRR, (t2, s2), i))
             else:
-                s = rng.randrange(G.order)
-                t = G.mul(pt.g, G.inv(s))
+                s = _below(bits, order)
+                t = table[pt.g][inverse[s]]
                 choices.append((VSplitR, (s, t), i))
-                s2 = rng.randrange(G.order)
-                t2 = G.mul(G.inv(s2), G.inv(pt.g))  # s*t = g^-1
+                s2 = _below(bits, order)
+                t2 = table[inverse[s2]][g_inv]  # s*t = g^-1
                 choices.append((T2SplitLL, (s2, t2), i))
         for i in range(len(cur) - 1):
             p, q = cur[i], cur[i + 1]
@@ -275,12 +301,12 @@ def random_closed_gdiagram(
                 choices.append((GCapLR, (p.g,), i))
             if p.g == q.g and not p.left and q.left:
                 choices.append((GCapRL, (p.g,), i))
-        build, args, pos = rng.choice(choices)
+        build, args, pos = choices[_below(bits, len(choices))]
         emit(build(*args), pos)
 
     # close: flip everything left-co-oriented, merge down to one strand, kill it
     while len(cur) > 1:
-        i = rng.randrange(len(cur) - 1)
+        i = _below(bits, len(cur) - 1)
         p, q = cur[i], cur[i + 1]
         if not p.left:
             emit(GFlip(p.g, False), i)

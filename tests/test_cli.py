@@ -230,20 +230,49 @@ def test_jinv_formats(capsys):
     assert code == 0 and abs(float(out) - 1.0397207708399179) < 1e-12
 
 
+_N = 1152921504606859327 * 309485009821345068724848949
+_BIG = 10**400  # past the double range
+
+
+class _Source(str):
+    """The text of a .net file in an argv row; the row runs on a file holding it."""
+
+
+def _path_of(tmp_path, arg):
+    if not isinstance(arg, _Source):
+        return arg
+    path = tmp_path / "input.net"
+    path.write_text(arg)
+    return str(path)
+
+
+# a float-mode diagram whose exact weights are past the double range
+_FLOAT_PAST_RANGE = _Source(f"mode Hfloat\nobject Z0 = X+({_BIG}) X+(1)\n"
+                            f"object Z1 = X+({_BIG + 1})\ndiagram D : Z0 -> Z1 {{ add_merge @0; }}\n")
+_TO_ENTROPY = "diagram evaluates to an entropy scalar; use --format entropy"
+_TO_FLOAT = "float-mode diagram; use --format float"
+
+
 @pytest.mark.parametrize(
     "name, diagram, fmt, refusal",
     [
         ("worked_example.net", "worked", "entropy", None),
         ("worked_example.net", "worked", "float", None),
-        ("entropy_fold.net", "fold", "prime-vector",
-         "diagram evaluates to an entropy scalar; use --format entropy"),
-        ("floaty.net", "halves", "prime-vector", "float-mode diagram; use --format float"),
-        ("floaty.net", "halves", "entropy", "float-mode diagram; use --format float"),
+        ("entropy_fold.net", "fold", "prime-vector", _TO_ENTROPY),
+        ("floaty.net", "halves", "prime-vector", _TO_FLOAT),
+        ("floaty.net", "halves", "entropy", _TO_FLOAT),
         ("floaty.net", "halves", "float", None),
+        (_FLOAT_PAST_RANGE, "D", "prime-vector", _TO_FLOAT),
+        (_FLOAT_PAST_RANGE, "D", "entropy", _TO_FLOAT),
     ],
+    ids=lambda v: "float-past-range" if v is _FLOAT_PAST_RANGE else None,
 )
-def test_jinv_formats_per_mode(capsys, name, diagram, fmt, refusal):
-    code, out, err = run(capsys, "jinv", fx(name), "--diagram", diagram, "--format", fmt)
+def test_jinv_formats_per_mode(capsys, monkeypatch, tmp_path, name, diagram, fmt, refusal):
+    path = _path_of(tmp_path, name) if isinstance(name, _Source) else fx(name)
+    if refusal is not None:
+        # a format the mode cannot give is refused before anything is evaluated
+        monkeypatch.setattr(cli.af, "j_invariant", lambda d: pytest.fail("evaluated before refusing"))
+    code, out, err = run(capsys, "jinv", path, "--diagram", diagram, "--format", fmt)
     if refusal is None:
         assert code == 0 and len(out.splitlines()) == 1 and err == ""
     else:
@@ -368,22 +397,6 @@ def test_render_command(capsys, tmp_path):
     ET.parse(out_path)
 
 
-_N = 1152921504606859327 * 309485009821345068724848949
-_BIG = 10**400  # past the double range
-
-
-class _Source(str):
-    """The text of a .net file in an argv row; the row runs on a file holding it."""
-
-
-def _path_of(tmp_path, arg):
-    if not isinstance(arg, _Source):
-        return arg
-    path = tmp_path / "input.net"
-    path.write_text(arg)
-    return str(path)
-
-
 def _hfloat_dot(payload):
     return _Source(f"mode Hfloat\nobject Z = X+(1)\ndiagram D : Z -> Z {{ dot @0 {payload}; }}\n")
 
@@ -416,9 +429,7 @@ def _hfloat_dot(payload):
         (("render", fx("worked_example.net"), "--diagram", "worked", "-o",
           os.path.join(FIXTURES, "no-such-dir", "x.svg")), cli.EXIT_USAGE),
         # weights and exact values past the double range, asked for as a double
-        (("jinv", _Source(f"mode Hfloat\nobject Z0 = X+({_BIG}) X+(1)\nobject Z1 = X+({_BIG + 1})\n"
-                          "diagram D : Z0 -> Z1 { add_merge @0; }\n"),
-          "--diagram", "D", "--format", "float"), cli.EXIT_USAGE),
+        (("jinv", _FLOAT_PAST_RANGE, "--diagram", "D", "--format", "float"), cli.EXIT_USAGE),
         (("jinv", _Source(f"mode H\nobject Z = X+(1)\n"
                           f"diagram D : Z -> Z {{ dot @0 {_BIG} + {{2: 1}}; }}\n"),
           "--diagram", "D", "--format", "float"), cli.EXIT_USAGE),

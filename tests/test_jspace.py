@@ -133,6 +133,30 @@ def test_symbol_matches_sympy():
         assert got == {p: c for p, c in want.items() if c}, (a, b)
 
 
+def test_symbol_near_the_trial_division_bound():
+    """symbol factors integers below TRIAL_DIVISION_BOUND**2 directly and the
+    rest over a coprime base; both agree with sympy on either side."""
+    from sympy import nextprime, prevprime
+
+    from entronet.scalars import TRIAL_DIVISION_BOUND
+
+    bound = TRIAL_DIVISION_BOUND**2
+    ints = [bound - 3, bound - 2, bound - 1, bound, bound + 1, prevprime(bound), nextprime(bound)]
+    p1 = prevprime(TRIAL_DIVISION_BOUND)
+    p0, p2 = prevprime(p1), nextprime(TRIAL_DIVISION_BOUND)
+    p3 = nextprime(p2)
+    ints += [p0 * p1, p1 * p2, p2 * p3]  # the last two straddle the bound
+    assert min(ints) < bound <= max(ints) and p1 * p2 < bound < p2 * p3
+    for n in ints:
+        for m in ints[::3] + [1, 2, 3]:
+            for a, b in ((F(n), F(-m)), (F(n, m), F(1, m)), (F(1, n), F(m, 7)), (F(n, 3), F(-m, 5))):
+                want = {}
+                for coeff, f in _factorizations(a, b, ()):
+                    for p, e in f.items():
+                        want[p] = want.get(p, 0) + coeff * e
+                assert dict(symbol(a, b).items()) == {p: c for p, c in want.items() if c}, (a, b)
+
+
 def test_symbol_factors_only_what_survives():
     import time
 

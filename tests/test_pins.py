@@ -31,6 +31,7 @@ from entronet.groupnet.diagrams import (
     eval_alpha_u,
 )
 from entronet.groupnet.groups import GModule, Group
+from entronet.jspace import render_float
 from entronet.sampling import (
     random_closed_gdiagram,
     random_diagram,
@@ -239,6 +240,54 @@ def test_boundary_memo_is_invisible(draws):
         back = af.inverse(af.inverse(d))
         assert back.source == d.source and af.validate(back) == af.validate(d)
         assert af.values_equal(d.mode, af.j_invariant(back), af.j_invariant(d))
+
+
+def test_kept_target_and_value_are_invisible(draws):
+    """A diagram's kept target and value change none of what it shows or
+    compares, and copies and pickles leave them behind."""
+    ds = draws[0][:100] + draws[1][:50]
+    fresh = [af.Diagram(d.source, d.layers, d.mode) for d in ds]
+    blobs = [pickle.dumps(f) for f in fresh]
+    for d in ds:
+        assert af.validate(d) is af.validate(d)
+        assert af.j_invariant(d) is af.j_invariant(d)
+    assert [repr(d) for d in ds] == [repr(f) for f in fresh]
+    assert [hash(d) for d in ds] == [hash(f) for f in fresh]
+    assert ds == fresh
+    assert [pickle.dumps(d) for d in ds] == blobs
+    for d in ds:
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d and hash(twin) == hash(d) and "_value" not in vars(twin)
+            assert af.validate(twin) == af.validate(d)
+            assert af.j_invariant(twin) == af.j_invariant(d)
+    # another mode is another diagram with its own value
+    for d in draws[1][:50]:
+        value = af.j_invariant(d)
+        floated = d.with_mode(af.MODE_HFLOAT)
+        if any(isinstance(gen, af.Dot) for gen, _ in d.layers):
+            with pytest.raises(af.KindMismatch):
+                af.j_invariant(floated)
+            continue
+        assert af.j_invariant(d.with_mode(af.MODE_H)) == value
+        assert abs(af.j_invariant(floated) - render_float(value)) < 1e-9
+        assert af.j_invariant(d) is value
+
+
+def test_failures_are_not_kept():
+    """A diagram that does not validate or evaluate raises on every call."""
+    x = af.xplus(1)
+    bad_layer = af.Diagram((x, x), ((af.AddMerge(1, 2), 0),))
+    bad_dot = af.Diagram((x,), ((af.Dot(1.5), 0),))
+    for _ in range(3):
+        with pytest.raises(af.WeightMismatch):
+            af.validate(bad_layer)
+        with pytest.raises(af.WeightMismatch):
+            af.j_invariant(bad_layer)
+        assert af.validate(bad_dot) == (x,)
+        with pytest.raises(af.KindMismatch):
+            af.j_invariant(bad_dot)
+    assert "_target" not in vars(bad_layer) and "_value" not in vars(bad_layer)
+    assert "_value" not in vars(bad_dot)
 
 
 def test_layer_name_order():

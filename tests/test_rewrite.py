@@ -161,6 +161,33 @@ def test_apply_refuses_invalid_diagram_without_asserts():
     assert run.stdout.startswith("refused: layer 2: position 1")
 
 
+@pytest.mark.skipif(not __debug__, reason="apply checks its output only in debug runs")
+def test_apply_checks_its_output_on_evaluated_diagrams():
+    """A kept value spares no check: a replacement that moves the evaluation
+    or the boundary fails apply's assertions even after d was evaluated."""
+    import dataclasses
+
+    from entronet.jspace import PrimeVector
+
+    d = af.Diagram(
+        (X(1), X(2), X(3)),
+        ((af.AddMerge(F(1), F(2)), 0), (af.AddMerge(F(3), F(3)), 0)),
+    )
+    # target and value kept before apply runs
+    af.validate(d)
+    af.j_invariant(d)
+    rule = rw.RULES["merge_assoc"]
+    extra_dot = dataclasses.replace(
+        rule, rhs=lambda p, *params: rule.rhs(p, *params) + ((af.Dot(PrimeVector({2: 1})), 0),)
+    )
+    extra_cup = dataclasses.replace(
+        rule, rhs=lambda p, *params: rule.rhs(p, *params) + ((af.CupX(F(0), True), 0),)
+    )
+    for broken in (extra_dot, extra_cup):
+        with pytest.raises(AssertionError, match="merge_assoc"):
+            rw.apply(d, broken, 0)
+
+
 def test_all_rules_on_constructed_sites():
     from entronet.sampling import random_rule_site
 
