@@ -308,11 +308,13 @@ Layer = tuple[Generator, int]
 class Diagram:
     """A source object, its layers bottom to top, and an evaluation mode.
 
-    The target (`validate`) and the value (`j_invariant`) are computed on the
-    first call and kept on the instance, so each diagram object is validated
-    and evaluated once.  The fields never change, so neither goes stale; a
-    call that raises keeps nothing.  Both are kept outside the fields, so
-    repr, == and hash ignore them, and a copy or pickle leaves them behind.
+    One walk over the layers (`_walk`) gives the target and the winding of
+    every additive vertex and dot; it and the value (`j_invariant`) are
+    computed on the first call and kept on the instance, so each diagram
+    object applies its layers once and is evaluated once.  The fields never
+    change, so neither goes stale; a call that raises keeps nothing.  Both
+    are kept outside the fields, so repr, == and hash ignore them, and a copy
+    or pickle leaves them behind.
     """
 
     source: Obj
@@ -330,12 +332,17 @@ class Diagram:
         return Diagram(self.source, self.layers, mode)
 
     @cached_property
-    def _target(self) -> Obj:
-        return AFFINE.target(self.source, self.layers)
+    def _walk(self) -> tuple[Obj, list[tuple[Fraction, Generator]]]:
+        """(target, [(w, gen)] for each additive vertex and dot, bottom to top)."""
+        obj, terms = tuple(self.source), []
+        for w, gen, obj in AFFINE.walk(self.source, self.layers):
+            if type(gen) in _VERTEX_SIGNS or isinstance(gen, Dot):
+                terms.append((w, gen))
+        return obj, terms
 
     @cached_property
     def _value(self):
-        return _evaluate(self)
+        return _fold(self.mode, self._walk[1])
 
 
 def identity_diagram(obj: Sequence[Pt], mode: str = MODE_J) -> Diagram:
@@ -377,7 +384,7 @@ winding_product = AFFINE.winding
 
 def validate(d: Diagram) -> Obj:
     """Target object of a well-formed diagram; raises at the first bad layer."""
-    return d._target
+    return d._walk[0]
 
 
 # ---------------------------------------------------------------------------
@@ -470,41 +477,29 @@ MODES = tuple(MODE_TABLE)
 _VERTEX_SIGNS = signed_pairs({AddMerge: 1, AddMergeDual: -1})
 
 
-def _evaluate(d: Diagram):
-    mode = MODE_TABLE[d.mode]
-    total = mode.zero
-    for w, gen in AFFINE.walk(d.source, d.layers):
+def _fold(mode: str, terms) -> object:
+    """Sum of a walk's winding-scaled terms (w, gen) in one mode's row."""
+    row = MODE_TABLE[mode]
+    total = row.zero
+    for w, gen in terms:
         sign = _VERTEX_SIGNS.get(type(gen))
-        if sign is not None:
-            total = total + mode.scale(mode.vertex(gen.a, gen.b), w if sign > 0 else -w)
-        elif isinstance(gen, Dot):
-            total = total + mode.scale(mode.dot(gen.payload), w)
+        if sign is None:  # a dot
+            total = total + row.scale(row.dot(gen.payload), w)
+        else:
+            total = total + row.scale(row.vertex(gen.a, gen.b), w if sign > 0 else -w)
     return total
 
 
 def j_invariant(d: Diagram):
-    """Evaluation of the diagram: prime vector, entropy scalar, or float."""
+    """Evaluation of the diagram: prime vector, entropy scalar, or float.
+    Every layer is checked before any payload is valued."""
     return d._value
 
 
 def dot_contribution(d: Diagram):
-    """Winding-scaled sum of dot labels alone (the non-boundary part).
-
-    Only dots need a winding, found in the object below each dot once its layer
-    is checked; one object is kept at a time.  The payloads are valued after
-    every layer is checked, so a bad layer raises before a bad payload.
-    """
-    states = AFFINE.states(d.source, d.layers)
-    below, dots = next(states), []
-    for (gen, pos), above in zip(d.layers, states):
-        if isinstance(gen, Dot):
-            dots.append((AFFINE.winding(below, pos), gen))
-        below = above
-    mode = MODE_TABLE[d.mode]
-    total = mode.zero
-    for w, gen in dots:
-        total = total + mode.scale(mode.dot(gen.payload), w)
-    return total
+    """Winding-scaled sum of dot labels alone (the non-boundary part), from the
+    walk `j_invariant` folds; every layer is checked before any payload."""
+    return _fold(d.mode, [(w, gen) for w, gen in d._walk[1] if isinstance(gen, Dot)])
 
 
 def values_equal(mode: str, x, y) -> bool:

@@ -326,17 +326,6 @@ def smith_normal_form(mat):
     return A, S, T, Sinv, Tinv
 
 
-def integer_kernel(mat) -> list[list[int]]:
-    """Basis (as column vectors) of the integer kernel of mat."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    D, _, T, _, _ = smith_normal_form(mat)
-    rank = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
-    return [[T[r][j] for r in range(n)] for j in range(rank, n)]
-
-
 # ---------------------------------------------------------------------------
 # Echelon form modulo L, on sparse rows {column: entry}.
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from ..mirror import mirrored, record, signed_pairs
@@ -217,9 +218,23 @@ def _expand(G: Group, gen: GGenerator) -> tuple[GGenerator, ...]:
 
 @dataclass(frozen=True)
 class GDiagram:
+    """A network over a group.  Its walk is kept as an affine Diagram's is:
+    computed once, outside the fields, left behind by copies and pickles."""
+
     group: Group
     source: GObj
     layers: tuple[GLayer, ...]
+
+    def __reduce__(self):
+        return GDiagram, (self.group, self.source, self.layers)
+
+    @cached_property
+    def _walk(self) -> tuple[GObj, list[tuple[int, GGenerator]]]:
+        """(target, [(w, gen)] for each layer, bottom to top)."""
+        obj, steps = tuple(self.source), []
+        for w, gen, obj in calculus(self.group).walk(self.source, self.layers):
+            steps.append((w, gen))
+        return obj, steps
 
     def expanded(self) -> "GDiagram":
         layers = tuple((part, pos) for gen, pos in self.layers for part in _expand(self.group, gen))
@@ -251,7 +266,8 @@ def calculus(G: Group) -> Calculus:
 
 
 def validate_gdiagram(d: GDiagram) -> GObj:
-    return calculus(d.group).target(d.source, d.layers)
+    """Target object of a well-formed network; raises at the first bad layer."""
+    return d._walk[0]
 
 
 def g_winding(d: GDiagram, layer: int, gap: int) -> int:
@@ -310,7 +326,7 @@ def _alpha_c_layer(G: Group, c: Cocycle2, w: int, gen: GGenerator):
 def _evaluate(d: GDiagram, U: GModule, terms) -> UElt:
     """Sum over dots of the label twisted by its winding, plus the piece
     term(G, z, w, gen) for each (term, z) in terms on every generator of the
-    expansion.
+    expansion, read from the kept walk of d.
 
     A macro is applied whole and its generators all sit at its position, so
     they share its winding, and an error names the layer of d.  The pieces
@@ -319,7 +335,7 @@ def _evaluate(d: GDiagram, U: GModule, terms) -> UElt:
     """
     G = d.group
     pieces = []
-    for w, macro in calculus(G).walk(d.source, d.layers):
+    for w, macro in d._walk[1]:
         for gen in _expand(G, macro):
             if isinstance(gen, GDot):
                 pieces.append((1, U.action[w], U.reduce(gen.u)))

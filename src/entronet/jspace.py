@@ -347,16 +347,6 @@ def bracket_tsallis(a: Fraction, b: Fraction, alpha: int) -> Fraction:
     return _psi_tsallis(a, alpha) + _psi_tsallis(b, alpha) - _psi_tsallis(a + b, alpha)
 
 
-def bracket_tsallis_float(a: float, b: float, alpha: float) -> float:
-    if alpha == 1:
-        raise ValueError("alpha = 1 is the undeformed (Shannon) limit; use bracket_H_float")
-
-    def psi(x: float) -> float:
-        return 0.0 if x == 0 else x * abs(x) ** (alpha - 1)
-
-    return psi(a) + psi(b) - psi(a + b)
-
-
 def tsallis_entropy(p: Fraction, alpha: int) -> Fraction:
     """H_alpha(p) = (1 - psi_alpha(p) - psi_alpha(1-p)) / (alpha - 1), exact."""
     if not isinstance(alpha, int) or alpha < 2:

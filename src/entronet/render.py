@@ -86,13 +86,13 @@ def _band_positions(n: int) -> list[float]:
 
 
 def _svg(calc, d, *, stroke, label, label_dx, dot_label=None) -> str:
-    """One band per layer of d over its states in calc; a layer of arity (0, 0) is a dot.
+    """One band per layer of d over its objects in calc; a layer of arity (0, 0) is a dot.
 
     stroke(pt) gives the color and width of a strand; label(pt) names a
     boundary point, drawn label_dx left of its strand; dot_label(gen), when
     given, writes next to each dot.
     """
-    sts = list(calc.states(d.source, d.layers))
+    sts = [tuple(d.source)] + [obj for _, _, obj in calc.walk(d.source, d.layers)]
     canvas = _Canvas()
     height = MARGIN * 2 + LAYER_HEIGHT * max(1, len(d.layers))
     width = MARGIN * 2 + STRAND_GAP * max(1, max(len(s) for s in sts))

@@ -10,6 +10,7 @@ group on the strands of group networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 
@@ -49,23 +50,6 @@ class Calculus:
         """obj with gen applied at pos, where the span must equal gen's domain."""
         return self._splice(obj, *self.boundary(gen), pos, layer)
 
-    def target(self, source: Iterable, layers: Iterable) -> tuple:
-        """The object above the last layer, keeping none of those between;
-        raises at the first bad layer, naming its index."""
-        obj, boundary, splice = tuple(source), self.boundary, self._splice
-        for i, (gen, pos) in enumerate(layers):
-            obj = splice(obj, *boundary(gen), pos, i)
-        return obj
-
-    def states(self, source: Iterable, layers: Iterable) -> Iterator[tuple]:
-        """Yield the objects between layers in turn, from the source to the
-        target; each layer is checked, naming its index, as its object is built."""
-        obj, boundary, splice = tuple(source), self.boundary, self._splice
-        yield obj
-        for i, (gen, pos) in enumerate(layers):
-            obj = splice(obj, *boundary(gen), pos, i)
-            yield obj
-
     def windings(self, obj: Iterable) -> list:
         """The winding of every gap of obj, from gap 0 to gap len(obj)."""
         out, step = [self.unit], self.step
@@ -82,13 +66,15 @@ class Calculus:
     def winding_at(self, source: Iterable, layers: Iterable, layer: int, gap: int):
         """Winding of a gap in the object just below the given layer index;
         the layers from that index up are not applied."""
-        for i, obj in enumerate(self.states(source, layers)):  # the source at least
+        states = chain([(None, None, tuple(source))], self.walk(source, layers))
+        for i, (_, _, obj) in enumerate(states):  # the source at least
             if i == layer:
                 return self.winding(obj, gap)
         raise self.out_of_range(f"layer {layer} of {i + 1} states")
 
-    def walk(self, source: Iterable, layers: Iterable) -> Iterator[tuple[Any, Any]]:
-        """Apply each layer in turn and yield (w, gen), w the winding at its position.
+    def walk(self, source: Iterable, layers: Iterable) -> Iterator[tuple[Any, Any, tuple]]:
+        """Apply each layer in turn and yield (w, gen, obj): w the winding at its
+        position, obj the object above it, so the last obj is the target.
 
         Windings are found left to right as far as a layer needs them, then kept,
         one per gap.  Every generator keeps the winding of the span it replaces,
@@ -107,4 +93,4 @@ class Calculus:
                 new.append(step(new[-1], pt))
             # gaps pos to pos + len(cod): left edge, inner gaps, right edge if known
             ws[pos : end + 1] = new + ws[end : end + 1] if cod else new
-            yield new[0], gen
+            yield new[0], gen, obj

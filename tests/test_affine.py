@@ -392,9 +392,10 @@ def _y_product(obj, p):
 def _affine_fold(d):
     """Each additive vertex at p gives +-<(0, C) * (a, 1), (b, 1)>, C the
     product left of p; each dot adds its label scaled by C."""
-    total = PrimeVector()
-    for obj, (gen, p) in zip(af.AFFINE.states(d.source, d.layers), d.layers):
+    total, obj = PrimeVector(), d.source
+    for i, (gen, p) in enumerate(d.layers):
         C = _y_product(obj, p)
+        obj = af.apply_layer(obj, gen, p, i)
         sign = _FOLD_SIGNS.get(type(gen))
         if sign is not None:
             w1 = af.AffWeight(0, C) * af.AffWeight(gen.a, 1)
@@ -464,7 +465,7 @@ def _layer_contribution(mode, w, gen):
 
 def _chain_j_invariant(d):
     total = _zero_value(d.mode)
-    for w, gen in af.AFFINE.walk(d.source, d.layers):
+    for w, gen, _ in af.AFFINE.walk(d.source, d.layers):
         piece = _layer_contribution(d.mode, w, gen)
         if piece is not None:
             total = total + piece
@@ -472,10 +473,11 @@ def _chain_j_invariant(d):
 
 
 def _chain_dot_contribution(d):
-    total = _zero_value(d.mode)
-    for obj, (gen, pos) in zip(af.AFFINE.states(d.source, d.layers), d.layers):
+    total, obj = _zero_value(d.mode), d.source
+    for i, (gen, pos) in enumerate(d.layers):
         if isinstance(gen, af.Dot):
             total = total + _layer_contribution(d.mode, af.AFFINE.winding(obj, pos), gen)
+        obj = af.apply_layer(obj, gen, pos, i)
     return total
 
 

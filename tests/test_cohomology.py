@@ -17,7 +17,6 @@ from entronet.groupnet.cohomology import (
     coboundary2,
     h_exhaustive,
     h_solver,
-    integer_kernel,
     is_coboundary2,
     is_normalized,
     shift_by_coboundary,
@@ -287,14 +286,6 @@ def test_snf_transforms():
         diag = [D[i][i] for i in range(min(m, n)) if D[i][i]]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
-
-
-def test_integer_kernel():
-    A = [[2, 4, 6], [1, 2, 3]]
-    basis = integer_kernel(A)
-    assert len(basis) == 2
-    for col in basis:
-        assert all(sum(r[k] * col[k] for k in range(3)) == 0 for r in A)
 
 
 # -- the solver --------------------------------------------------------------------

@@ -541,9 +541,10 @@ def _ref_f_piece(G, f, w, gen):
 def _ref_alpha(d, U, c=None, f=None):
     """Dots plus the c and f pieces, each acted, negated and added with a reduction."""
     G = d.group
-    total = U.zero()
-    for obj, (macro, pos) in zip(calculus(G).states(d.source, d.layers), d.layers):
+    total, obj, apply = U.zero(), d.source, calculus(G).apply
+    for i, (macro, pos) in enumerate(d.layers):
         w = _ref_winding(G, obj, pos)
+        obj = apply(obj, macro, pos, i)
         for gen in macro.expand(G) if hasattr(macro, "expand") else (macro,):
             if isinstance(gen, GDot):
                 total = U.add(total, U.act(w, U.reduce(gen.u)))

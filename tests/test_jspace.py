@@ -11,7 +11,6 @@ from entronet.jspace import (
     beta_to_j,
     bracket_H_float,
     bracket_tsallis,
-    bracket_tsallis_float,
     entropy_render,
     j_to_beta,
     render_float,
@@ -385,18 +384,6 @@ def test_tsallis_identity(p, alpha):
 def test_tsallis_argument_validation():
     with pytest.raises(ValueError):
         bracket_tsallis(F(1), F(1), 1)
-    with pytest.raises(ValueError):
-        bracket_tsallis_float(1.0, 1.0, 1)
-
-
-def test_tsallis_float_agrees():
-    import random
-
-    rng = random.Random(4)
-    for _ in range(100):
-        p = F(rng.randint(-20, 20), rng.randint(1, 12))
-        got = bracket_tsallis_float(float(p), float(1 - p), 2.0)
-        assert abs(got - float(bracket_tsallis(p, 1 - p, 2))) < 1e-10
 
 
 # -- textual forms ----------------------------------------------------------

@@ -8,6 +8,7 @@ and the layers that reduce seeded objects to their weight.  The seeds are the de
 """
 
 import copy
+import dataclasses
 import hashlib
 import pickle
 
@@ -25,10 +26,13 @@ from entronet.groupnet.cohomology import (
 )
 from entronet.groupnet.diagrams import (
     GDiagram,
+    GDiagramError,
     eval_alpha_c,
     eval_alpha_cf,
     eval_alpha_f,
     eval_alpha_u,
+    is_closed,
+    validate_gdiagram,
 )
 from entronet.groupnet.groups import GModule, Group
 from entronet.jspace import render_float
@@ -242,8 +246,13 @@ def test_boundary_memo_is_invisible(draws):
         assert af.values_equal(d.mode, af.j_invariant(back), af.j_invariant(d))
 
 
+def _kept(obj) -> set:
+    """The names an object keeps in its __dict__ besides its fields."""
+    return set(vars(obj)) - {f.name for f in dataclasses.fields(obj)}
+
+
 def test_kept_target_and_value_are_invisible(draws):
-    """A diagram's kept target and value change none of what it shows or
+    """A diagram's kept walk and value change none of what it shows or
     compares, and copies and pickles leave them behind."""
     ds = draws[0][:100] + draws[1][:50]
     fresh = [af.Diagram(d.source, d.layers, d.mode) for d in ds]
@@ -251,13 +260,15 @@ def test_kept_target_and_value_are_invisible(draws):
     for d in ds:
         assert af.validate(d) is af.validate(d)
         assert af.j_invariant(d) is af.j_invariant(d)
+        assert _kept(d) == {"_walk", "_value"}
+    assert not any(_kept(f) for f in fresh)
     assert [repr(d) for d in ds] == [repr(f) for f in fresh]
     assert [hash(d) for d in ds] == [hash(f) for f in fresh]
     assert ds == fresh
     assert [pickle.dumps(d) for d in ds] == blobs
     for d in ds:
         for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
-            assert twin == d and hash(twin) == hash(d) and "_value" not in vars(twin)
+            assert twin == d and hash(twin) == hash(d) and not _kept(twin)
             assert af.validate(twin) == af.validate(d)
             assert af.j_invariant(twin) == af.j_invariant(d)
     # another mode is another diagram with its own value
@@ -273,21 +284,49 @@ def test_kept_target_and_value_are_invisible(draws):
         assert af.j_invariant(d) is value
 
 
+def test_kept_network_walk_is_invisible():
+    """A network's kept walk changes none of what it shows or compares, and
+    copies and pickles leave it behind.  Groups compare by identity, so a deep
+    copy or a pickle, which copies the group, is compared by repr and value."""
+    nets = _networks()[::3]
+    fresh = [GDiagram(d.group, d.source, d.layers) for d, *_ in nets]
+    values = [(validate_gdiagram(d), eval_alpha_cf(d, c, f)) for d, U, f, c in nets]
+    for (d, *_), f in zip(nets, fresh):
+        assert validate_gdiagram(d) is validate_gdiagram(d)
+        assert _kept(d) == {"_walk"} and not _kept(f)
+        assert repr(d) == repr(f) and hash(d) == hash(f) and d == f
+    for (d, U, f, c), value in zip(nets, values):
+        for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert repr(twin) == repr(d) and not _kept(twin)
+            if twin.group is d.group:
+                assert twin == d and hash(twin) == hash(d)
+            # the cocycles, over the twin's group
+            tf, tc = (copy.deepcopy(z, {id(d.group): twin.group}) for z in (f, c))
+            assert (validate_gdiagram(twin), eval_alpha_cf(twin, tc, tf)) == value
+
+
 def test_failures_are_not_kept():
-    """A diagram that does not validate or evaluate raises on every call."""
+    """A diagram or network that does not validate or evaluate raises on every call."""
     x = af.xplus(1)
     bad_layer = af.Diagram((x, x), ((af.AddMerge(1, 2), 0),))
     bad_dot = af.Diagram((x,), ((af.Dot(1.5), 0),))
     for _ in range(3):
-        with pytest.raises(af.WeightMismatch):
-            af.validate(bad_layer)
-        with pytest.raises(af.WeightMismatch):
-            af.j_invariant(bad_layer)
+        for evaluate in (af.validate, af.j_invariant, af.dot_contribution):
+            with pytest.raises(af.WeightMismatch):
+                evaluate(bad_layer)
         assert af.validate(bad_dot) == (x,)
-        with pytest.raises(af.KindMismatch):
-            af.j_invariant(bad_dot)
-    assert "_target" not in vars(bad_layer) and "_value" not in vars(bad_layer)
-    assert "_value" not in vars(bad_dot)
+        for evaluate in (af.j_invariant, af.dot_contribution):
+            with pytest.raises(af.KindMismatch):
+                evaluate(bad_dot)
+    assert not _kept(bad_layer)
+    assert _kept(bad_dot) == {"_walk"}
+    d, U, f, c = _networks()[5]
+    bad_net = GDiagram(d.group, d.source, d.layers[1:])
+    for _ in range(3):
+        for evaluate in (validate_gdiagram, is_closed, lambda n: eval_alpha_c(n, c)):
+            with pytest.raises(GDiagramError, match="^layer "):
+                evaluate(bad_net)
+    assert not _kept(bad_net)
 
 
 def test_layer_name_order():

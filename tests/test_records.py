@@ -130,8 +130,10 @@ def test_crossing_checks_hold_without_asserts():
     ]
 
 
-def test_dot_contribution_checks_every_layer_before_any_payload():
-    """A bad payload below a bad layer: the layer's error, naming its index."""
+@pytest.mark.parametrize("evaluate", (af.dot_contribution, af.j_invariant), ids=lambda f: f.__name__)
+def test_dot_contribution_checks_every_layer_before_any_payload(evaluate):
+    """A bad payload below a bad layer: the layer's error, naming its index,
+    from both evaluators."""
     src = (af.xplus(F(1)), af.xplus(F(2)))
     layers = (
         (af.Dot(PrimeVector()), 1),  # a J-mode payload in an H-mode diagram
@@ -140,8 +142,8 @@ def test_dot_contribution_checks_every_layer_before_any_payload():
     )
     d = af.Diagram(src, layers, af.MODE_H)
     with pytest.raises(af.PositionOutOfRange, match=r"^layer 2: ") as exc:
-        af.dot_contribution(d)
+        evaluate(d)
     assert exc.value.layer == 2
     # without the bad layer, the payload is refused
     with pytest.raises(af.KindMismatch, match="H-mode dots"):
-        af.dot_contribution(af.Diagram(src, layers[:2], af.MODE_H))
+        evaluate(af.Diagram(src, layers[:2], af.MODE_H))

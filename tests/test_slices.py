@@ -17,7 +17,7 @@ from entronet.groupnet.catalog import carry
 from entronet.groupnet.cohomology import Cocycle1, coboundary1, coboundary2
 from entronet.groupnet.groups import GModule, Group
 from entronet.jspace import PrimeVector
-from entronet.slices import LayerError
+from entronet.slices import Calculus, LayerError
 from entronet.sampling import random_closed_gdiagram, random_diagram, seeded_rng
 
 # field name -> values, for building every affine generator class
@@ -92,11 +92,20 @@ def test_group_generators_keep_span_winding():
     assert macros == 4 * len(elements) ** 2
 
 
+def _states(calc, source, layers):
+    """The objects between layers, source to target, by one apply per layer."""
+    out = [tuple(source)]
+    for i, (gen, pos) in enumerate(layers):
+        out.append(calc.apply(out[-1], gen, pos, i))
+    return out
+
+
 def _check_walk(calc, source, layers, seen):
-    states = list(calc.states(source, layers))
+    states = _states(calc, source, layers)
     walked = list(calc.walk(source, layers))
-    assert [gen for _, gen in walked] == [gen for gen, _ in layers]
-    for (w, gen), (_, pos), below, above in zip(walked, layers, states, states[1:]):
+    assert [gen for _, gen, _ in walked] == [gen for gen, _ in layers]
+    assert [obj for _, _, obj in walked] == states[1:]
+    for (w, gen, _), (_, pos), below in zip(walked, layers, states):
         assert w == calc.winding(below, pos)
         dom, cod = calc.boundary(gen)
         if cod and not dom and pos == len(below):
@@ -196,21 +205,76 @@ def _outcome(fn, *args):
         return "refused", type(exc), exc.layer, str(exc)
 
 
+def _walk_target(calc, source, layers):
+    obj = tuple(source)
+    for _, _, obj in calc.walk(source, layers):
+        pass
+    return obj
+
+
 def test_target_is_the_last_state():
-    """target gives states' last object, or raises the same error at the same layer."""
+    """The walk's last object and the kept target give the last object of one
+    apply per layer, or raise the same error at the same layer."""
     rng = seeded_rng(65)
     cases = []
     for i in range(200):
         d = random_diagram(rng, mode=af.MODES[i % 2])
-        cases.append((af.AFFINE, d.source, d.layers))
+        cases.append((af.AFFINE, d.source, d.layers,
+                      lambda ls, d=d: af.validate(af.Diagram(d.source, ls, d.mode))))
     for U, _, _ in _modules():
         for k in range(60):
             d = random_closed_gdiagram(rng, U.group, grow_layers=k % 12, module=U)
-            cases.append((gd.calculus(U.group), d.source, d.layers))
+            cases.append((gd.calculus(U.group), d.source, d.layers,
+                          lambda ls, d=d: gd.validate_gdiagram(gd.GDiagram(d.group, d.source, ls))))
     refused = 0
-    for calc, source, layers in cases:
+    for calc, source, layers, kept_target in cases:
         for ls in (layers, _shifted(rng, layers)[0]) if layers else (layers,):
-            want = _outcome(lambda: list(calc.states(source, ls))[-1])
-            assert _outcome(calc.target, source, ls) == want
+            want = _outcome(lambda: _states(calc, source, ls)[-1])
+            assert _outcome(_walk_target, calc, source, ls) == want
+            assert _outcome(kept_target, ls) == want
             refused += want[0] == "refused"
     assert refused >= 100, refused
+
+
+def _counted_splices(monkeypatch) -> list:
+    """The layer index of every later `Calculus._splice` call, in call order."""
+    calls, splice = [], Calculus._splice
+
+    def counted(self, obj, dom, cod, pos, layer):
+        calls.append(layer)
+        return splice(self, obj, dom, cod, pos, layer)
+
+    monkeypatch.setattr(Calculus, "_splice", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", (af.MODE_J, af.MODE_H))
+def test_affine_evaluations_splice_each_layer_once(monkeypatch, mode):
+    """validate, j_invariant and dot_contribution share one walk of a diagram."""
+    rng = seeded_rng(66)
+    ds = [random_diagram(rng, mode=mode) for _ in range(150)]
+    ds = [af.Diagram(d.source, d.layers, d.mode) for d in ds]  # nothing kept yet
+    calls = _counted_splices(monkeypatch)
+    for d in ds:
+        af.validate(d)
+        af.j_invariant(d)
+        af.dot_contribution(d)
+    assert calls == [i for d in ds for i in range(len(d.layers))]
+    assert len(calls) > 500
+
+
+def test_network_evaluations_splice_each_layer_once(monkeypatch):
+    """is_closed, eval_alpha_c and eval_alpha_f share one walk of a network."""
+    rng = seeded_rng(67)
+    nets = []
+    for U, f, c in _modules():
+        for k in range(40):
+            d = random_closed_gdiagram(rng, U.group, grow_layers=k % 12, module=U)
+            nets.append((gd.GDiagram(d.group, d.source, d.layers), f, c))
+    calls = _counted_splices(monkeypatch)
+    for d, f, c in nets:
+        assert gd.is_closed(d)
+        gd.eval_alpha_c(d, c)
+        gd.eval_alpha_f(d, f)
+    assert calls == [i for d, _, _ in nets for i in range(len(d.layers))]
+    assert len(calls) > 500
