@@ -11,12 +11,18 @@ a canonical form and `parse(print(x))` returns an identical syntax tree.
     module U over G = z(4)
     cocycle2 c : G -> U = { (1,1): (1); }
     gdiagram N over G : [1 L, 1 R] -> [] { cap @0; }
+
+Each keyword is one row of `DECLARATIONS`: its syntax-tree class, how it is
+parsed, printed and resolved.  The syntax tree is made of named-tuple records,
+equal only within a class; a declaration's trailing line and col show in its
+repr but not in == or hash.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar, Union
@@ -186,12 +192,23 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _record(name: str, fields: str, defaults: tuple = ()) -> type:
+    """A named-tuple class, shown as Name(field=value, ...) and equal only to
+    an instance of its own class.  Fields line and col at the end, given
+    defaults, are a position: the repr shows them, == and hash leave them out."""
+    cls = namedtuple(name, fields, defaults=defaults, module=__name__)
+    n = len(cls._fields) - 2 if "line" in cls._field_defaults else len(cls._fields)
+
+    def eq(self, other) -> bool:
+        return type(other) is type(self) and self[:n] == other[:n]
+
+    cls.__eq__ = eq
+    cls.__ne__ = lambda self, other: not eq(self, other)
+    cls.__hash__ = lambda self: hash(self[:n])
+    return cls
+
+
+Token = _record("Token", "kind text line col")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -219,99 +236,24 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # Syntax tree.
 
-
-@dataclass(frozen=True)
-class PointSpec:
-    kind: str  # "X+", "X-", "Y+", "Y-"
-    weight: Fraction
-
-
-@dataclass(frozen=True)
-class ObjectDecl:
-    name: str
-    points: tuple[PointSpec, ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
+PointSpec = _record("PointSpec", "kind weight")  # kind: "X+", "X-", "Y+" or "Y-"
+GPointSpec = _record("GPointSpec", "g left")
+ObjectDecl = _record("ObjectDecl", "name points line col", (0, 0))
+# payload: a PrimeVector, EntropyScalar or float on an affine dot, else None
+LayerSpec = _record("LayerSpec", "name args pos payload line col", (None, 0, 0))
+DiagramDecl = _record("DiagramDecl", "name source target layers mode line col", (0, 0))
+# ctor: cyclic, aff1modp or product, args (n,) or (A, B); or table, args (rows,)
+GroupDecl = _record("GroupDecl", "name ctor args line col", (0, 0))
+# action: None, or ((g, matrix), ...) sorted by g
+ModuleDecl = _record("ModuleDecl", "name group moduli action line col", (0, 0))
+# entries, sorted: degree 1 ((g, u), ...); degree 2 (((g, h), u), ...)
+CocycleDecl = _record("CocycleDecl", "degree name group module entries line col", (0, 0))
+# source and target: tuples of GPointSpec
+GDiagramDecl = _record("GDiagramDecl", "name group source target layers line col", (0, 0))
+SourceFile = _record("SourceFile", "decls final_mode", (af.MODE_J,))
 
 Payload = Union[PrimeVector, EntropyScalar, float]
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    name: str
-    args: tuple
-    pos: int
-    payload: Optional[Payload] = None
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class DiagramDecl:
-    name: str
-    source: str
-    target: str
-    layers: tuple[LayerSpec, ...]
-    mode: str
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class GroupDecl:
-    name: str
-    ctor: str  # cyclic | aff1modp | product | table
-    args: tuple
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ModuleDecl:
-    name: str
-    group: str
-    moduli: tuple[int, ...]
-    action: Optional[tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class CocycleDecl:
-    degree: int
-    name: str
-    group: str
-    module: str
-    entries: tuple  # degree 1: ((g, u), ...); degree 2: (((g, h), u), ...)
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class GPointSpec:
-    g: int
-    left: bool
-
-
-@dataclass(frozen=True)
-class GDiagramDecl:
-    name: str
-    group: str
-    source: tuple[GPointSpec, ...]
-    target: tuple[GPointSpec, ...]
-    layers: tuple[LayerSpec, ...]
-    line: int = field(default=0, compare=False)
-    col: int = field(default=0, compare=False)
-
-
 Decl = Union[ObjectDecl, DiagramDecl, GroupDecl, ModuleDecl, CocycleDecl, GDiagramDecl]
-
-
-@dataclass(frozen=True)
-class SourceFile:
-    decls: tuple[Decl, ...]
-    final_mode: str = af.MODE_J
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +266,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.mode = af.MODE_J  # set by a mode line, read by the diagrams below it
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -350,16 +293,17 @@ class _Parser:
             return self.next()
         return None
 
-    def items(self, close: str, sep: str, item: Callable[[], T]) -> list[T]:
-        """Items parsed by `item`, each but the last followed by `sep`, up to
-        `close`; the opener is already read, and a trailing `sep` is allowed."""
+    def items(self, opener: str, close: str, sep: str, item: Callable[[], T]) -> tuple[T, ...]:
+        """After `opener`, items parsed by `item`, each but the last followed by
+        `sep`, up to `close`; a trailing `sep` is allowed."""
+        self.expect("sym", opener)
         out = []
         while not self.accept("sym", close):
             out.append(item())
             if not self.accept("sym", sep):
                 self.expect("sym", close)
                 break
-        return out
+        return tuple(out)
 
     # -- scalars ------------------------------------------------------------
 
@@ -399,53 +343,48 @@ class _Parser:
         return -val if neg else val
 
     def parse_prime_vector(self) -> PrimeVector:
-        self.expect("sym", "{")
-        return PrimeVector(dict(self.items("}", ",", self.parse_coefficient)))
+        return PrimeVector(dict(self.items("{", "}", ",", self.parse_coefficient)))
 
     def parse_coefficient(self) -> tuple[int, Fraction]:
         p = int(self.expect("int").text)
         self.expect("sym", ":")
         return p, self.parse_rational()
 
-    # -- declarations ---------------------------------------------------------
+    def parse_ints(self) -> tuple[int, ...]:
+        """One or more integers in parentheses, separated by commas."""
+        self.expect("sym", "(")
+        vals = [self.parse_int()]
+        while self.accept("sym", ","):
+            vals.append(self.parse_int())
+        self.expect("sym", ")")
+        return tuple(vals)
+
+    # -- declarations: each reader starts after its keyword, the token head ----
 
     def parse(self) -> SourceFile:
         decls: list[Decl] = []
         names: set[str] = set()
-        mode = af.MODE_J
         while self.peek().kind != "eof":
-            tok = self.peek()
+            tok = self.next()
             if tok.kind != "ident":
-                self.fail(f"expected a declaration, found {tok.text!r}")
+                self.fail(f"expected a declaration, found {tok.text!r}", tok)
             if tok.text == "mode":
-                self.next()
                 mtok = self.expect("ident")
                 if mtok.text not in af.MODES:
                     self.fail(f"unknown mode {mtok.text!r}", mtok)
-                mode = mtok.text
+                self.mode = mtok.text
                 continue
-            if tok.text == "object":
-                decl = self.parse_object()
-            elif tok.text == "diagram":
-                decl = self.parse_diagram(mode)
-            elif tok.text == "group":
-                decl = self.parse_group()
-            elif tok.text == "module":
-                decl = self.parse_module()
-            elif tok.text in ("cocycle1", "cocycle2"):
-                decl = self.parse_cocycle()
-            elif tok.text == "gdiagram":
-                decl = self.parse_gdiagram()
-            else:
-                self.fail(f"unknown declaration {tok.text!r}")
+            row = DECLARATIONS.get(tok.text)
+            if row is None:
+                self.fail(f"unknown declaration {tok.text!r}", tok)
+            decl = row.parse(self, tok)
             if decl.name in names:
                 raise ParseError(f"duplicate name {decl.name!r}", decl.line, decl.col)
             names.add(decl.name)
             decls.append(decl)
-        return SourceFile(tuple(decls), mode)
+        return SourceFile(tuple(decls), self.mode)
 
-    def parse_object(self) -> ObjectDecl:
-        head = self.expect("ident", "object")
+    def parse_object(self, head: Token) -> ObjectDecl:
         name = self.expect("ident").text
         self.expect("sym", "=")
         points = []
@@ -463,15 +402,14 @@ class _Parser:
     def parse_layer(self, mode: Optional[str]) -> LayerSpec:
         """One layer; with mode None a group-network layer: integer arguments, no payload."""
         name_tok = self.expect("ident")
-        args: list = []
-        if self.accept("sym", "("):
-            args = self.items(")", ",", self.parse_int if mode is None else self.parse_layer_arg)
+        arg = self.parse_int if mode is None else self.parse_layer_arg
+        args = self.items("(", ")", ",", arg) if self.peek().text == "(" else ()
         self.expect("sym", "@")
         pos = self.parse_int()
         payload: Optional[Payload] = None
         if name_tok.text == _DOT and mode is not None:
             payload = self.parse_payload(mode)
-        return LayerSpec(name_tok.text, tuple(args), pos, payload, name_tok.line, name_tok.col)
+        return LayerSpec(name_tok.text, args, pos, payload, name_tok.line, name_tok.col)
 
     def parse_layer_arg(self) -> Fraction | str:
         """A rational, or a bare sign + or -; a - followed by an integer starts a rational."""
@@ -500,22 +438,19 @@ class _Parser:
             self.fail("constant + map payloads belong to H mode", tok)
         return EntropyScalar(const, vec)
 
-    def parse_diagram(self, mode: str) -> DiagramDecl:
-        head = self.expect("ident", "diagram")
+    def parse_diagram(self, head: Token) -> DiagramDecl:
         name = self.expect("ident").text
         self.expect("sym", ":")
         src = self.expect("ident").text
         self.expect("arrow")
         tgt = self.expect("ident").text
-        layers = self.parse_layer_block(mode)
-        return DiagramDecl(name, src, tgt, layers, mode, head.line, head.col)
+        layers = self.parse_layer_block(self.mode)
+        return DiagramDecl(name, src, tgt, layers, self.mode, head.line, head.col)
 
     def parse_layer_block(self, mode: Optional[str]) -> tuple[LayerSpec, ...]:
-        self.expect("sym", "{")
-        return tuple(self.items("}", ";", lambda: self.parse_layer(mode)))
+        return self.items("{", "}", ";", lambda: self.parse_layer(mode))
 
-    def parse_group(self) -> GroupDecl:
-        head = self.expect("ident", "group")
+    def parse_group(self, head: Token) -> GroupDecl:
         name = self.expect("ident").text
         self.expect("sym", "=")
         ctor_tok = self.expect("ident")
@@ -539,47 +474,26 @@ class _Parser:
         return GroupDecl(name, ctor, args, head.line, head.col)
 
     def parse_int_matrix(self) -> tuple[tuple[int, ...], ...]:
-        self.expect("sym", "[")
-        return tuple(self.items("]", ",", self.parse_int_row))
+        return self.items("[", "]", ",", lambda: self.items("[", "]", ",", self.parse_int))
 
-    def parse_int_row(self) -> tuple[int, ...]:
-        self.expect("sym", "[")
-        return tuple(self.items("]", ",", self.parse_int))
-
-    def parse_module(self) -> ModuleDecl:
-        head = self.expect("ident", "module")
+    def parse_module(self, head: Token) -> ModuleDecl:
         name = self.expect("ident").text
         self.expect("ident", "over")
         group = self.expect("ident").text
         self.expect("sym", "=")
         self.expect("ident", "z")
-        self.expect("sym", "(")
-        moduli = [self.parse_int()]
-        while self.accept("sym", ","):
-            moduli.append(self.parse_int())
-        self.expect("sym", ")")
+        moduli = self.parse_ints()
         action = None
-        if self.peek().kind == "ident" and self.peek().text == "action":
-            self.next()
-            self.expect("sym", "{")
-            action = tuple(sorted(self.items("}", ";", self.parse_action_entry)))
-        return ModuleDecl(name, group, tuple(moduli), action, head.line, head.col)
+        if self.accept("ident", "action"):
+            action = tuple(sorted(self.items("{", "}", ";", self.parse_action_entry)))
+        return ModuleDecl(name, group, moduli, action, head.line, head.col)
 
     def parse_action_entry(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         g = self.parse_int()
         self.expect("sym", ":")
         return g, self.parse_int_matrix()
 
-    def parse_uelt(self) -> tuple[int, ...]:
-        self.expect("sym", "(")
-        vals = [self.parse_int()]
-        while self.accept("sym", ","):
-            vals.append(self.parse_int())
-        self.expect("sym", ")")
-        return tuple(vals)
-
-    def parse_cocycle(self) -> CocycleDecl:
-        head = self.next()
+    def parse_cocycle(self, head: Token) -> CocycleDecl:
         degree = 1 if head.text == "cocycle1" else 2
         name = self.expect("ident").text
         self.expect("sym", ":")
@@ -587,8 +501,8 @@ class _Parser:
         self.expect("arrow")
         module = self.expect("ident").text
         self.expect("sym", "=")
-        self.expect("sym", "{")
-        entries = tuple(sorted(self.items("}", ";", lambda: self.parse_cocycle_entry(degree))))
+        entries = self.items("{", "}", ";", lambda: self.parse_cocycle_entry(degree))
+        entries = tuple(sorted(entries))
         return CocycleDecl(degree, name, group, module, entries, head.line, head.col)
 
     def parse_cocycle_entry(self, degree: int) -> tuple[object, tuple[int, ...]]:
@@ -602,11 +516,7 @@ class _Parser:
         else:
             key = self.parse_int()
         self.expect("sym", ":")
-        return key, self.parse_uelt()
-
-    def parse_gpoints(self) -> tuple[GPointSpec, ...]:
-        self.expect("sym", "[")
-        return tuple(self.items("]", ",", self.parse_gpoint))
+        return key, self.parse_ints()
 
     def parse_gpoint(self) -> GPointSpec:
         g = self.parse_int()
@@ -615,15 +525,14 @@ class _Parser:
             self.fail("expected side L or R", side)
         return GPointSpec(g, side.text == "L")
 
-    def parse_gdiagram(self) -> GDiagramDecl:
-        head = self.expect("ident", "gdiagram")
+    def parse_gdiagram(self, head: Token) -> GDiagramDecl:
         name = self.expect("ident").text
         self.expect("ident", "over")
         group = self.expect("ident").text
         self.expect("sym", ":")
-        src = self.parse_gpoints()
+        src = self.items("[", "]", ",", self.parse_gpoint)
         self.expect("arrow")
-        tgt = self.parse_gpoints()
+        tgt = self.items("[", "]", ",", self.parse_gpoint)
         layers = self.parse_layer_block(None)
         return GDiagramDecl(name, group, src, tgt, layers, head.line, head.col)
 
@@ -645,10 +554,8 @@ def _format_payload(payload: Payload) -> str:
 def _format_layer(layer: LayerSpec) -> str:
     text = layer.name
     if layer.args:
-        parts = []
-        for a in layer.args:
-            parts.append(a if isinstance(a, str) else format_rational(a) if isinstance(a, Fraction) else str(a))
-        text += "(" + ", ".join(parts) + ")"
+        args = (format_rational(a) if isinstance(a, Fraction) else str(a) for a in layer.args)
+        text += "(" + ", ".join(args) + ")"
     text += f" @{layer.pos}"
     if layer.payload is not None:
         text += " " + _format_payload(layer.payload)
@@ -662,6 +569,57 @@ def _print_layers(layers: tuple[LayerSpec, ...]) -> str:
     return "{\n" + inner + "}"
 
 
+def _ints(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _matrix(rows) -> str:
+    return "[" + ", ".join(f"[{_ints(row)}]" for row in rows) + "]"
+
+
+def _table(entries) -> str:
+    """Entries in braces, each followed by a semicolon: `{ }` when there are none."""
+    return "{ " + "".join(f"{e}; " for e in entries) + "}"
+
+
+def _print_object(decl: ObjectDecl) -> str:
+    pts = "".join(f" {p.kind}({format_rational(p.weight)})" for p in decl.points)
+    return f"object {decl.name} ={pts}"
+
+
+def _print_diagram(decl: DiagramDecl) -> str:
+    return f"diagram {decl.name} : {decl.source} -> {decl.target} " + _print_layers(decl.layers)
+
+
+def _print_group(decl: GroupDecl) -> str:
+    if decl.ctor == "table":
+        return f"group {decl.name} = table {_matrix(decl.args[0])}"
+    return f"group {decl.name} = {decl.ctor}({_ints(decl.args)})"
+
+
+def _print_module(decl: ModuleDecl) -> str:
+    text = f"module {decl.name} over {decl.group} = z({_ints(decl.moduli)})"
+    if decl.action is None:
+        return text
+    return text + " action " + _table(f"{g}: {_matrix(mat)}" for g, mat in decl.action)
+
+
+def _print_cocycle(decl: CocycleDecl) -> str:
+    parts = []
+    for key, u in decl.entries:
+        k = f"({key[0]}, {key[1]})" if decl.degree == 2 else str(key)
+        parts.append(f"{k}: ({_ints(u)})")
+    return f"cocycle{decl.degree} {decl.name} : {decl.group} -> {decl.module} = " + _table(parts)
+
+
+def _print_gdiagram(decl: GDiagramDecl) -> str:
+    def gp(pts):
+        return "[" + ", ".join(f"{p.g} {'L' if p.left else 'R'}" for p in pts) + "]"
+
+    head = f"gdiagram {decl.name} over {decl.group} : {gp(decl.source)} -> {gp(decl.target)} "
+    return head + _print_layers(decl.layers)
+
+
 def print_source(sf: SourceFile) -> str:
     out: list[str] = []
     mode = af.MODE_J
@@ -669,46 +627,7 @@ def print_source(sf: SourceFile) -> str:
         if isinstance(decl, DiagramDecl) and decl.mode != mode:
             out.append(f"mode {decl.mode}")
             mode = decl.mode
-        if isinstance(decl, ObjectDecl):
-            pts = " ".join(f"{p.kind}({format_rational(p.weight)})" for p in decl.points)
-            out.append(f"object {decl.name} ={' ' + pts if pts else ''}")
-        elif isinstance(decl, DiagramDecl):
-            out.append(
-                f"diagram {decl.name} : {decl.source} -> {decl.target} "
-                + _print_layers(decl.layers)
-            )
-        elif isinstance(decl, GroupDecl):
-            if decl.ctor in ("cyclic", "aff1modp"):
-                out.append(f"group {decl.name} = {decl.ctor}({decl.args[0]})")
-            elif decl.ctor == "product":
-                out.append(f"group {decl.name} = product({decl.args[0]}, {decl.args[1]})")
-            else:
-                rows = ", ".join("[" + ", ".join(map(str, row)) + "]" for row in decl.args[0])
-                out.append(f"group {decl.name} = table [{rows}]")
-        elif isinstance(decl, ModuleDecl):
-            text = f"module {decl.name} over {decl.group} = z({', '.join(map(str, decl.moduli))})"
-            if decl.action is not None:
-                entries = "; ".join(
-                    f"{g}: [{', '.join('[' + ', '.join(map(str, row)) + ']' for row in mat)}]"
-                    for g, mat in decl.action
-                )
-                text += " action { " + entries + "; }"
-            out.append(text)
-        elif isinstance(decl, CocycleDecl):
-            head = f"cocycle{decl.degree} {decl.name} : {decl.group} -> {decl.module} = "
-            parts = []
-            for key, u in decl.entries:
-                k = f"({key[0]}, {key[1]})" if decl.degree == 2 else str(key)
-                parts.append(f"{k}: ({', '.join(map(str, u))})")
-            out.append(head + "{ " + "; ".join(parts) + ("; }" if parts else "}"))
-        elif isinstance(decl, GDiagramDecl):
-            def gp(pts):
-                return "[" + ", ".join(f"{p.g} {'L' if p.left else 'R'}" for p in pts) + "]"
-
-            out.append(
-                f"gdiagram {decl.name} over {decl.group} : {gp(decl.source)} -> {gp(decl.target)} "
-                + _print_layers(decl.layers)
-            )
+        out.append(_ROWS[type(decl)].print(decl))
     if sf.final_mode != mode:
         out.append(f"mode {sf.final_mode}")
     return "\n".join(out) + "\n"
@@ -716,8 +635,6 @@ def print_source(sf: SourceFile) -> str:
 
 # ---------------------------------------------------------------------------
 # Resolver: syntax tree -> semantic objects.
-
-_POINT_KINDS = {"X+": af.Kind.XP, "X-": af.Kind.XM, "Y+": af.Kind.YP, "Y-": af.Kind.YM}
 
 
 @dataclass
@@ -729,6 +646,12 @@ class Resolved:
     cocycles1: dict[str, Cocycle1] = field(default_factory=dict)
     cocycles2: dict[str, Cocycle2] = field(default_factory=dict)
     gdiagrams: dict[str, GDiagram] = field(default_factory=dict)
+
+
+def _lookup(table: dict, name: str, what: str, decl: Decl):
+    if name not in table:
+        raise ResolveError(f"unknown {what} {name!r}", decl.line, decl.col)
+    return table[name]
 
 
 def _resolve_layers(table: dict, decl, src: tuple, tgt: tuple, calc: Calculus, order: int = 0):
@@ -783,109 +706,124 @@ def _resolve_layers(table: dict, decl, src: tuple, tgt: tuple, calc: Calculus, o
     return tuple(layers)
 
 
+def _resolve_object(decl: ObjectDecl, out: Resolved) -> None:
+    out.objects[decl.name] = tuple(af.Pt(af.Kind(p.kind), p.weight) for p in decl.points)
+
+
+def _resolve_diagram(decl: DiagramDecl, out: Resolved) -> None:
+    src = _lookup(out.objects, decl.source, "object", decl)
+    tgt = _lookup(out.objects, decl.target, "object", decl)
+    layers = _resolve_layers(AFFINE_LAYERS, decl, src, tgt, af.AFFINE)
+    out.diagrams[decl.name] = af.Diagram(src, layers, decl.mode)
+
+
+def _resolve_group(decl: GroupDecl, out: Resolved) -> None:
+    if decl.ctor == "product":
+        g1 = _lookup(out.groups, decl.args[0], "group", decl)
+        g2 = _lookup(out.groups, decl.args[1], "group", decl)
+        order = g1.order * g2.order
+    elif decl.ctor == "aff1modp":
+        order = decl.args[0] * (decl.args[0] - 1)
+    else:  # cyclic(n), or a table with a row per element
+        order = decl.args[0] if decl.ctor == "cyclic" else len(decl.args[0])
+    try:
+        # before the group's tables are built: H^1 over it stays within the bound
+        check_system_size(order, 1, 1)
+    except SizeBoundExceeded as exc:
+        raise ResolveError(f"group {decl.name!r} is too large: {exc}", decl.line, decl.col)
+    if decl.ctor == "product":
+        out.groups[decl.name] = Group.direct_product(g1, g2)
+    else:
+        build = {"cyclic": Group.cyclic, "aff1modp": Group.aff1_mod_p, "table": Group.from_table}
+        out.groups[decl.name] = build[decl.ctor](decl.args[0])
+
+
+def _resolve_module(decl: ModuleDecl, out: Resolved) -> None:
+    G = _lookup(out.groups, decl.group, "group", decl)
+    action = None
+    if decl.action is not None:
+        action = {}
+        for g, mat in decl.action:
+            if g in action:
+                raise ResolveError(f"action table gives element {g} twice", decl.line, decl.col)
+            action[g] = [list(row) for row in mat]
+        for g in G.elements():
+            if g not in action:
+                raise ResolveError(f"action table missing element {g}", decl.line, decl.col)
+    out.modules[decl.name] = GModule(G, decl.moduli, action)
+
+
+def _resolve_cocycle(decl: CocycleDecl, out: Resolved) -> None:
+    G = _lookup(out.groups, decl.group, "group", decl)
+    U = _lookup(out.modules, decl.module, "module", decl)
+    if U.group is not G:
+        raise ResolveError("module is over a different group", decl.line, decl.col)
+    values = {}  # element (degree 1) or pair (degree 2) -> module element
+    for key, u in decl.entries:
+        elements = key if decl.degree == 2 else (key,)
+        where = "pair ({},{})".format(*key) if decl.degree == 2 else f"element {key}"
+        if not all(0 <= g < G.order for g in elements):
+            raise ResolveError(f"{where} out of range", decl.line, decl.col)
+        if key in values:
+            raise ResolveError(f"{where} given twice", decl.line, decl.col)
+        values[key] = U.reduce(u)
+    zero, n = U.zero(), range(G.order)
+    if decl.degree == 1:
+        f = Cocycle1(U, tuple(values.get(g, zero) for g in n))
+        if not verify_cocycle1(f):
+            raise ResolveError(f"{decl.name!r} is not a 1-cocycle", decl.line, decl.col)
+        out.cocycles1[decl.name] = f
+        return
+    c = Cocycle2(U, tuple(tuple(values.get((g, h), zero) for h in n) for g in n))
+    if not is_normalized(c):
+        raise ResolveError(f"{decl.name!r} is not normalized", decl.line, decl.col)
+    if not verify_cocycle2(c):
+        raise ResolveError(f"{decl.name!r} is not a 2-cocycle", decl.line, decl.col)
+    out.cocycles2[decl.name] = c
+
+
+def _resolve_gdiagram(decl: GDiagramDecl, out: Resolved) -> None:
+    G = _lookup(out.groups, decl.group, "group", decl)
+    for p in decl.source + decl.target:
+        if not 0 <= p.g < G.order:
+            raise ResolveError(f"element {p.g} out of range", decl.line, decl.col)
+    src = tuple(GPt(p.g, p.left) for p in decl.source)
+    tgt = tuple(GPt(p.g, p.left) for p in decl.target)
+    layers = _resolve_layers(GROUP_LAYERS, decl, src, tgt, calculus(G), G.order)
+    out.gdiagrams[decl.name] = GDiagram(G, src, layers)
+
+
 def resolve(sf: SourceFile) -> Resolved:
-    """Build semantics in declaration order; names resolve backwards only."""
+    """Build semantics in declaration order; names resolve backwards only.  A
+    group or diagram error inside a declaration is refused at the declaration."""
     out = Resolved()
-
-    def lookup(table: dict, name: str, what: str, line: int, col: int):
-        if name not in table:
-            raise ResolveError(f"unknown {what} {name!r}", line, col)
-        return table[name]
-
     for decl in sf.decls:
-        if isinstance(decl, ObjectDecl):
-            try:
-                out.objects[decl.name] = tuple(
-                    af.Pt(_POINT_KINDS[p.kind], p.weight) for p in decl.points
-                )
-            except af.DiagramError as exc:
-                raise ResolveError(str(exc), decl.line, decl.col)
-        elif isinstance(decl, DiagramDecl):
-            src = lookup(out.objects, decl.source, "object", decl.line, decl.col)
-            tgt = lookup(out.objects, decl.target, "object", decl.line, decl.col)
-            layers = _resolve_layers(AFFINE_LAYERS, decl, src, tgt, af.AFFINE)
-            out.diagrams[decl.name] = af.Diagram(src, layers, decl.mode)
-        elif isinstance(decl, GroupDecl):
-            if decl.ctor == "product":
-                g1 = lookup(out.groups, decl.args[0], "group", decl.line, decl.col)
-                g2 = lookup(out.groups, decl.args[1], "group", decl.line, decl.col)
-                order = g1.order * g2.order
-            elif decl.ctor == "aff1modp":
-                order = decl.args[0] * (decl.args[0] - 1)
-            else:  # cyclic(n), or a table with a row per element
-                order = decl.args[0] if decl.ctor == "cyclic" else len(decl.args[0])
-            try:
-                # before the group's tables are built: H^1 over it stays within the bound
-                check_system_size(order, 1, 1)
-                if decl.ctor == "cyclic":
-                    out.groups[decl.name] = Group.cyclic(decl.args[0])
-                elif decl.ctor == "aff1modp":
-                    out.groups[decl.name] = Group.aff1_mod_p(decl.args[0])
-                elif decl.ctor == "product":
-                    out.groups[decl.name] = Group.direct_product(g1, g2)
-                else:
-                    out.groups[decl.name] = Group.from_table(decl.args[0])
-            except SizeBoundExceeded as exc:
-                raise ResolveError(f"group {decl.name!r} is too large: {exc}", decl.line, decl.col)
-            except GroupValidationError as exc:
-                raise ResolveError(str(exc), decl.line, decl.col)
-        elif isinstance(decl, ModuleDecl):
-            G = lookup(out.groups, decl.group, "group", decl.line, decl.col)
-            action = None
-            if decl.action is not None:
-                action = {g: [list(row) for row in mat] for g, mat in decl.action}
-                for g in G.elements():
-                    if g not in action:
-                        raise ResolveError(
-                            f"action table missing element {g}", decl.line, decl.col
-                        )
-            try:
-                out.modules[decl.name] = GModule(G, decl.moduli, action)
-            except GroupValidationError as exc:
-                raise ResolveError(str(exc), decl.line, decl.col)
-        elif isinstance(decl, CocycleDecl):
-            G = lookup(out.groups, decl.group, "group", decl.line, decl.col)
-            U = lookup(out.modules, decl.module, "module", decl.line, decl.col)
-            if U.group is not G:
-                raise ResolveError("module is over a different group", decl.line, decl.col)
-            if decl.degree == 1:
-                values = [U.zero()] * G.order
-                for g, u in decl.entries:
-                    if not 0 <= g < G.order:
-                        raise ResolveError(f"element {g} out of range", decl.line, decl.col)
-                    values[g] = U.reduce(u)
-                f = Cocycle1(U, tuple(values))
-                if not verify_cocycle1(f):
-                    raise ResolveError(
-                        f"{decl.name!r} is not a 1-cocycle", decl.line, decl.col
-                    )
-                out.cocycles1[decl.name] = f
-            else:
-                table = [[U.zero()] * G.order for _ in range(G.order)]
-                for (g, h), u in decl.entries:
-                    if not (0 <= g < G.order and 0 <= h < G.order):
-                        raise ResolveError(f"pair ({g},{h}) out of range", decl.line, decl.col)
-                    table[g][h] = U.reduce(u)
-                c = Cocycle2(U, tuple(tuple(row) for row in table))
-                if not is_normalized(c):
-                    raise ResolveError(
-                        f"{decl.name!r} is not normalized", decl.line, decl.col
-                    )
-                if not verify_cocycle2(c):
-                    raise ResolveError(
-                        f"{decl.name!r} is not a 2-cocycle", decl.line, decl.col
-                    )
-                out.cocycles2[decl.name] = c
-        elif isinstance(decl, GDiagramDecl):
-            G = lookup(out.groups, decl.group, "group", decl.line, decl.col)
-            for p in decl.source + decl.target:
-                if not 0 <= p.g < G.order:
-                    raise ResolveError(f"element {p.g} out of range", decl.line, decl.col)
-            src = tuple(GPt(p.g, p.left) for p in decl.source)
-            tgt = tuple(GPt(p.g, p.left) for p in decl.target)
-            layers = _resolve_layers(GROUP_LAYERS, decl, src, tgt, calculus(G), G.order)
-            out.gdiagrams[decl.name] = GDiagram(G, src, layers)
+        try:
+            _ROWS[type(decl)].resolve(decl, out)
+        except (GroupValidationError, af.DiagramError) as exc:
+            raise ResolveError(str(exc), decl.line, decl.col)
     return out
+
+
+# A declaration keyword's row: its syntax-tree class; its reader, a _Parser
+# method called with the keyword token; its printer; and its resolver, which
+# adds what the declaration names to a Resolved.
+Declaration = _record("Declaration", "node parse print resolve")
+
+DECLARATIONS = {
+    "object": Declaration(ObjectDecl, _Parser.parse_object, _print_object, _resolve_object),
+    "diagram": Declaration(DiagramDecl, _Parser.parse_diagram, _print_diagram, _resolve_diagram),
+    "group": Declaration(GroupDecl, _Parser.parse_group, _print_group, _resolve_group),
+    "module": Declaration(ModuleDecl, _Parser.parse_module, _print_module, _resolve_module),
+    "cocycle1": Declaration(CocycleDecl, _Parser.parse_cocycle, _print_cocycle, _resolve_cocycle),
+    "cocycle2": Declaration(CocycleDecl, _Parser.parse_cocycle, _print_cocycle, _resolve_cocycle),
+    "gdiagram": Declaration(
+        GDiagramDecl, _Parser.parse_gdiagram, _print_gdiagram, _resolve_gdiagram
+    ),
+}
+
+# the row print_source and resolve use for a declaration: both cocycle rows are alike
+_ROWS = {row.node: row for row in DECLARATIONS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -905,5 +843,4 @@ def diagram_to_decl(name: str, src_name: str, tgt_name: str, d: af.Diagram) -> D
 
 
 def object_to_decl(name: str, obj: af.Obj) -> ObjectDecl:
-    kinds = {af.Kind.XP: "X+", af.Kind.XM: "X-", af.Kind.YP: "Y+", af.Kind.YM: "Y-"}
-    return ObjectDecl(name, tuple(PointSpec(kinds[p.kind], p.weight) for p in obj))
+    return ObjectDecl(name, tuple(PointSpec(p.kind.value, p.weight) for p in obj))

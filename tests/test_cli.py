@@ -97,6 +97,18 @@ def test_validate_and_exit_codes(capsys, tmp_path):
         ("group G = cyclic(2000)\n", "1:1"),
         ("group G = aff1modp(17)\n", "1:1"),
         ("group A = cyclic(14)\ngroup B = cyclic(14)\ngroup G = product(A, B)\n", "3:1"),
+        # an entry of the wrong rank for its module
+        ("group G = cyclic(2)\nmodule U over G = z(2)\n"
+         "cocycle1 f : G -> U = { 1: (1, 1); }\n", "3:1"),
+        ("group G = cyclic(2)\nmodule U over G = z(2)\n"
+         "cocycle2 c : G -> U = { (1, 1): (1, 0); }\n", "3:1"),
+        # an element or pair given twice
+        ("group G = cyclic(3)\nmodule U over G = z(3)\n"
+         "cocycle1 f : G -> U = { 1: (0); 1: (1); 2: (2); }\n", "3:1"),
+        ("group G = cyclic(2)\nmodule U over G = z(2)\n"
+         "cocycle2 c : G -> U = { (1, 1): (1); (1, 1): (0); }\n", "3:1"),
+        ("group G = cyclic(2)\n"
+         "module U over G = z(3) action { 0: [[1]]; 1: [[2]]; 1: [[1]]; }\n", "2:1"),
     ],
 )
 def test_invalid_group_declarations(capsys, tmp_path, text, where):

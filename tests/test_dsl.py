@@ -1,5 +1,10 @@
+import copy
+import dataclasses
 import os
+import pickle
 from fractions import Fraction as F
+from itertools import combinations
+from typing import get_args
 
 import pytest
 
@@ -143,6 +148,34 @@ def test_round_trip_generated():
         assert dsl.parse(dsl.print_source(sf)) == sf
 
 
+def test_round_trip_empty_action():
+    sf = dsl.parse("group G = cyclic(1)\nmodule U over G = z(2) action {}\n")
+    assert sf.decls[1].action == ()
+    text = dsl.print_source(sf)
+    assert text.endswith("module U over G = z(2) action { }\n")
+    assert dsl.parse(text) == sf
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("group G = cyclic(3)\nmodule U over G = z(3)\n"
+         "cocycle1 f : G -> U = { 1: (0); 1: (1); 2: (2); }\n", "3:1: element 1 given twice"),
+        ("group G = cyclic(3)\nmodule U over G = z(3)\n"
+         "cocycle2 c : G -> U = { (1, 2): (1); (2, 1): (0); (1, 2): (0); }\n",
+         "3:1: pair (1,2) given twice"),
+        ("group G = cyclic(2)\nmodule U over G = z(3) action { 0: [[1]]; 1: [[2]]; 1: [[1]]; }\n",
+         "2:1: action table gives element 1 twice"),
+        ("group G = cyclic(3)\nmodule U over G = z(3)\ncocycle1 f : G -> U = { 1: (1, 1); }\n",
+         "3:1: element has wrong rank"),
+    ],
+)
+def test_table_entries_are_refused_at_the_declaration(text, message):
+    with pytest.raises(dsl.ResolveError) as info:
+        dsl.resolve(dsl.parse(text))
+    assert str(info.value) == message
+
+
 def test_position_is_not_part_of_a_declaration():
     for name in sorted(os.listdir(FIXTURES)):
         if name.endswith(".net"):
@@ -187,3 +220,73 @@ def test_diagram_to_decl_round_trip():
         r = dsl.resolve(dsl.parse(text))
         d2 = r.diagrams["D"]
         assert d2.source == d.source and d2.layers == d.layers and d2.mode == d.mode
+
+
+# ---------------------------------------------------------------------------
+# The syntax tree is made of records.
+
+NODES = (
+    dsl.Token, dsl.PointSpec, dsl.GPointSpec, dsl.LayerSpec, dsl.ObjectDecl, dsl.DiagramDecl,
+    dsl.GroupDecl, dsl.ModuleDecl, dsl.CocycleDecl, dsl.GDiagramDecl, dsl.SourceFile,
+)
+
+
+def _parsed_nodes():
+    """One parsed instance or more of every node class, positions included."""
+    out = []
+    for name in sorted(os.listdir(FIXTURES)):
+        if name.endswith(".net"):
+            with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as fh:
+                text = fh.read()
+            sf = dsl.parse(text)
+            out += [sf, *sf.decls, *dsl.tokenize(text)]
+            for decl in sf.decls:
+                out += getattr(decl, "points", ()) + getattr(decl, "layers", ())
+                out += getattr(decl, "source", ()) if isinstance(decl, dsl.GDiagramDecl) else ()
+    assert {type(x) for x in out} == set(NODES)
+    return out
+
+
+def test_declarations_table():
+    assert tuple(dsl.DECLARATIONS) == (
+        "object", "diagram", "group", "module", "cocycle1", "cocycle2", "gdiagram",
+    )
+    assert {row.node for row in dsl.DECLARATIONS.values()} == set(get_args(dsl.Decl))
+
+
+def test_node_repr_is_the_dataclass_repr():
+    """Each node shows as the frozen dataclass it replaced would, position included."""
+    shown = {cls: dataclasses.make_dataclass(cls.__name__, cls._fields, frozen=True)
+             for cls in NODES}
+    for x in _parsed_nodes():
+        assert repr(x) == repr(shown[type(x)](*x))
+    (decl,) = dsl.parse("\n  object Z = X+(1/2)\n").decls
+    assert repr(decl) == (
+        "ObjectDecl(name='Z', points=(PointSpec(kind='X+', weight=Fraction(1, 2)),), line=2, col=3)"
+    )
+
+
+def test_node_equality_ignores_position_only():
+    for x in _parsed_nodes():
+        if "line" in x._field_defaults:
+            moved = x._replace(line=x.line + 7, col=x.col + 1)
+            assert moved == x and not moved != x and hash(moved) == hash(x)
+            assert moved.line != x.line and repr(moved) != repr(x)
+        changed = x._replace(**{x._fields[0]: "other"})
+        assert changed != x and not changed == x
+
+
+def test_node_never_equals_a_tuple_or_another_class():
+    for x in _parsed_nodes():
+        assert x != tuple(x) and tuple(x) != x and not x == tuple(x)
+    same = [cls(*range(len(cls._fields))) for cls in NODES]
+    for a, b in combinations(same, 2):
+        if len(a) == len(b):
+            assert a != b and b != a and not a == b
+
+
+def test_node_copies_and_pickles_keep_positions():
+    for x in _parsed_nodes():
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+            assert repr(twin) == repr(x)

@@ -5,17 +5,23 @@ diagrams, their exact values, the SVG text of both diagram kinds, the four
 group-network evaluations, the random `.net` sources, the rewrite sites, the
 sites every rule matches and what it leaves there, the printed normal forms
 and the layers that reduce seeded objects to their weight.  The seeds are the defaults (ENTRONET_SEED unset).
+Over the shipped fixtures, it keeps what the parser makes of every text one
+token away, and what the file commands print.
 """
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
+import io
+import os
 import pickle
+import re
 
 import pytest
 
 from entronet import affine as af
-from entronet import dsl, render, rewrite
+from entronet import cli, dsl, render, rewrite
 from entronet.groupnet.catalog import carry
 from entronet.groupnet.cohomology import (
     Cocycle1,
@@ -342,6 +348,96 @@ def test_layer_name_order():
     )
 
 
+FIXTURES = os.path.join(os.path.dirname(dsl.__file__), "fixtures")
+
+# a token of the .net format, or a comment (skipped)
+_TOKEN = re.compile(r"#[^\n]*|->|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|\w+|\S")
+_REPLACEMENTS = (
+    "(", ")", "{", "}", "[", "]", ";", ",", ":", "@", "=", "+", "-", "->",
+    "-1", "0", "1/0", "2.5", "x", "action", "mode",
+)
+
+
+def _fixtures() -> dict:
+    names = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".net"))
+    texts = {}
+    for name in names:
+        with open(os.path.join(FIXTURES, name), "r", encoding="utf-8") as fh:
+            texts[name] = fh.read()
+    return texts
+
+
+def _mutations(text: str):
+    """Every text one token away from text: the token deleted, doubled, or
+    replaced by one of _REPLACEMENTS."""
+    for m in _TOKEN.finditer(text):
+        tok, head, tail = m.group(), text[: m.start()], text[m.end():]
+        if tok.startswith("#"):
+            continue
+        yield head + tail
+        yield head + tok + " " + tok + tail
+        for other in _REPLACEMENTS:
+            yield head + other + tail
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return dsl.print_source(dsl.parse(text))
+    except dsl.ParseError as exc:
+        return str(exc)  # the message after line:col
+
+
+def test_parse_outcomes_of_one_token_mutations():
+    """What the parser and printer make of every fixture one token away:
+    the printed text, or the error with its position."""
+    outcomes = [
+        (name, _parse_outcome(mutated))
+        for name, text in _fixtures().items()
+        for mutated in _mutations(text)
+    ]
+    assert len(outcomes) > 10_000
+    assert _sha(outcomes) == PINS["mutations"]
+
+
+def _cli(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def test_commands_on_fixtures(tmp_path):
+    """stdout and exit code of validate, jinv in every format, normalize,
+    eval with every evaluation its fixture has cocycles for, and render."""
+    svg = str(tmp_path / "out.svg")
+    results = []
+    for name, text in _fixtures().items():
+        path = os.path.join(FIXTURES, name)
+        r = dsl.resolve(dsl.parse(text))
+        runs = [("validate", path)]
+        for d in r.diagrams:
+            runs += [("jinv", path, "--diagram", d, "--format", fmt)
+                     for fmt in ("prime-vector", "entropy", "float")]
+            runs.append(("normalize", path, "--diagram", d))
+        for n in r.gdiagrams:
+            net = ("eval", path, "--gdiagram", n, "--with")
+            runs += [(*net, "alphaU", "--module", u) for u in r.modules]
+            runs += [(*net, "alphaF", "--cocycle", f) for f in r.cocycles1]
+            runs += [(*net, "alphaC", "--cocycle", c) for c in r.cocycles2]
+            runs += [(*net, "alphaCF", "--cocycle", c, "--cocycle1", f)
+                     for c in r.cocycles2 for f in r.cocycles1]
+        for d in [*r.diagrams, *r.gdiagrams]:
+            runs.append(("render", path, "--diagram", d, "-o", svg))
+        for argv in runs:
+            code, out = _cli(*argv)
+            if argv[0] == "render":
+                with open(svg, "r", encoding="utf-8") as fh:
+                    out = out.replace(svg, "OUT") + fh.read()
+            shown = tuple("OUT" if a == svg else a for a in argv if a != path)
+            results.append((name, shown, code, out))
+    assert _sha(results) == PINS["commands"]
+
+
 PINS = {
     "affine_j": "f33cf3c27e898a3b",
     "affine_h": "c9d00caf6c45ff82",
@@ -356,4 +452,6 @@ PINS = {
     "rule_sites": "0b62e1354f2f1323",
     "normal_forms": "fef25aad1bfbe447",
     "reduction_layers": "c80ce946f2ca0c75",
+    "mutations": "e99fa65d87883d11",
+    "commands": "d426c4f3840ce785",
 }
