@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +60,13 @@ from .groupnet.diagrams import (
     calculus,
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
-from .scalars import DoubleRangeExceeded, format_rational, to_double
+from .scalars import (
+    DoubleRangeExceeded,
+    FactoringBudgetExceeded,
+    format_rational,
+    is_prime,
+    to_double,
+)
 from .slices import Calculus, LayerError
 
 
@@ -307,18 +314,27 @@ class _Parser:
 
     # -- scalars ------------------------------------------------------------
 
+    def parse_nat(self) -> int:
+        """An integer literal.  One longer than the interpreter's limit on
+        str-to-int conversion, which bounds that quadratic work, is refused."""
+        tok = self.expect("int")
+        try:
+            return int(tok.text)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            self.fail(f"integer literal of {len(tok.text)} digits, past the limit of {limit}", tok)
+
     def parse_int(self) -> int:
         neg = self.accept("sym", "-") is not None
-        tok = self.expect("int")
-        return -int(tok.text) if neg else int(tok.text)
+        value = self.parse_nat()
+        return -value if neg else value
 
     def parse_rational(self) -> Fraction:
         neg = self.accept("sym", "-") is not None
-        tok = self.expect("int")
-        num = int(tok.text)
+        num = self.parse_nat()
         if self.accept("sym", "/"):
-            den_tok = self.expect("int")
-            den = int(den_tok.text)
+            den_tok = self.peek()
+            den = self.parse_nat()
             if den == 0:
                 self.fail("zero denominator", den_tok)
             value = Fraction(num, den)
@@ -343,12 +359,26 @@ class _Parser:
         return -val if neg else val
 
     def parse_prime_vector(self) -> PrimeVector:
-        return PrimeVector(dict(self.items("{", "}", ",", self.parse_coefficient)))
+        """Coefficients `p: q` in braces.  Once its coefficient is read, a key
+        must be a prime not given before."""
+        coeffs: dict[int, Fraction] = {}
 
-    def parse_coefficient(self) -> tuple[int, Fraction]:
-        p = int(self.expect("int").text)
-        self.expect("sym", ":")
-        return p, self.parse_rational()
+        def coefficient() -> None:
+            tok = self.peek()
+            p = self.parse_nat()
+            self.expect("sym", ":")
+            q = self.parse_rational()
+            if p in coeffs:
+                self.fail(f"payload key {p} given twice", tok)
+            try:
+                if not is_prime(p):
+                    self.fail(f"payload key {p} is not a prime", tok)
+            except FactoringBudgetExceeded as exc:
+                self.fail(f"payload key: {exc}", tok)
+            coeffs[p] = q
+
+        self.items("{", "}", ",", coefficient)
+        return PrimeVector(coeffs)
 
     def parse_ints(self) -> tuple[int, ...]:
         """One or more integers in parentheses, separated by commas."""

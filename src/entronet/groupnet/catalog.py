@@ -91,25 +91,11 @@ class BoundedMonoidCocycle:
         )
 
 
-def _bounded_sums(value: Callable[[int, int], Fraction], max_value: int) -> BoundedMonoidCocycle:
-    """A multiplicative cocycle on {0..max_value} under +, checked where sums stay in range."""
-    return BoundedMonoidCocycle(
-        lambda a, b: a + b,
-        value,
-        tuple(range(max_value + 1)),
-        checked=lambda x, y, z: x + y + z <= max_value,
-    )
-
-
 def binomial_cocycle(max_value: int) -> BoundedMonoidCocycle:
     """c(k1,k2) = C(k1+k2, k1) on {0..max_value}, checked where sums stay in range."""
     if max_value < 0:
         raise ValueError("range bound must be nonnegative")
-
-    def value(a: int, b: int) -> Fraction:
-        return Fraction(comb(a + b, a))
-
-    return _bounded_sums(value, max_value)
+    return fontene_ward(lambda k: k, max_value)
 
 
 def fontene_ward(g: Callable[[int], Fraction], max_value: int) -> BoundedMonoidCocycle:
@@ -120,11 +106,12 @@ def fontene_ward(g: Callable[[int], Fraction], max_value: int) -> BoundedMonoidC
         if gk == 0:
             raise ValueError(f"g({k}) must be nonzero")
         f.append(f[-1] * gk)
-
-    def value(a: int, b: int) -> Fraction:
-        return f[a + b] / (f[a] * f[b])
-
-    return _bounded_sums(value, max_value)
+    return BoundedMonoidCocycle(
+        lambda a, b: a + b,
+        lambda a, b: f[a + b] / (f[a] * f[b]),
+        tuple(range(max_value + 1)),
+        checked=lambda x, y, z: x + y + z <= max_value,
+    )
 
 
 class ProbSpace:

@@ -6,10 +6,12 @@ L the exponent of the module, it brings the cocycle conditions, scaled to
 modulus L, together with L*Z^N into one echelon form H modulo L
 (Storjohann-Mulders); the cocycles are then exactly L * H^-1 Z^N.  The
 coboundaries and the moduli, in that basis, have a second echelon form in
-which most pivots are 1; the rest give one small Smith normal form, whose
-diagonal is the invariant factors and whose transform gives the
-representatives.  Only the conditions whose first argument lies in a
-generating set of G are used; the others follow from them.
+which most pivots are 1; the rest give one small Smith normal form.
+`smith_normal_form` returns only what the solver reads: the diagonal D,
+whose entries are the invariant factors, and the inverse column transform
+Tinv, whose rows give the representatives.  Only the conditions whose
+first argument lies in a generating set of G are used; the others follow
+from them.
 
 Systems with more than SYSTEM_SIZE_BOUND cocycle conditions are refused
 before any matrix is built.  Measured on a 2-vCPU Intel Xeon host (Python
@@ -224,106 +226,71 @@ def central_extension(c: Cocycle2) -> Group:
 
 
 # ---------------------------------------------------------------------------
-# Integer Smith normal form with unimodular transforms.
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+# Integer Smith normal form with the inverse column transform.
 
 
 def smith_normal_form(mat):
-    """Return (D, S, T, Sinv, Tinv) with S*A*T = D diagonal, S,T unimodular."""
+    """Return (D, Tinv): D = S*A*T is diagonal, each nonzero entry dividing
+    the next, for unimodular S and T that are not built, and Tinv = T^-1.
+
+    The rows of D*Tinv = S*A span the row lattice of A, so Z^n modulo that
+    lattice is the sum of the cyclic groups Z/D[m][m], row m of Tinv
+    generating the m-th.
+    """
     A = [list(map(int, row)) for row in mat]
     m = len(A)
     n = len(A[0]) if m else 0
-    S, Sinv = _identity(m), _identity(m)
-    T, Tinv = _identity(n), _identity(n)
+    Tinv = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_add(i, j, q):  # R_i += q R_j
         A[i] = [a + q * b for a, b in zip(A[i], A[j])]
-        S[i] = [a + q * b for a, b in zip(S[i], S[j])]
-        for r in range(m):  # Sinv: C_j -= q C_i
-            Sinv[r][j] -= q * Sinv[r][i]
 
-    def col_add(j, i, q):  # C_j += q C_i
-        for r in range(m):
-            A[r][j] += q * A[r][i]
-        for r in range(n):
-            T[r][j] += q * T[r][i]
+    def col_add(j, i, q):  # C_j += q C_i, so Tinv gets R_i -= q R_j
+        for row in A:
+            row[j] += q * row[i]
         Tinv[i] = [a - q * b for a, b in zip(Tinv[i], Tinv[j])]
 
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        S[i], S[j] = S[j], S[i]
-        for r in range(m):
-            Sinv[r][i], Sinv[r][j] = Sinv[r][j], Sinv[r][i]
-
     def col_swap(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            T[r][i], T[r][j] = T[r][j], T[r][i]
+        for row in A:
+            row[i], row[j] = row[j], row[i]
         Tinv[i], Tinv[j] = Tinv[j], Tinv[i]
 
-    def row_neg(i):
-        A[i] = [-a for a in A[i]]
-        S[i] = [-a for a in S[i]]
-        for r in range(m):
-            Sinv[r][i] = -Sinv[r][i]
-
-    k = 0
-    while k < min(m, n):
-        # find a pivot
-        piv = None
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < best):
-                    piv, best = (i, j), abs(A[i][j])
+    for k in range(min(m, n)):
+        # the first entry of least absolute value, in row-major order
+        piv = min(((abs(A[i][j]), i, j) for i in range(k, m) for j in range(k, n) if A[i][j]),
+                  default=None)
         if piv is None:
             break
-        row_swap(k, piv[0])
-        col_swap(k, piv[1])
+        A[k], A[piv[1]] = A[piv[1]], A[k]
+        col_swap(k, piv[2])
         while True:
             if A[k][k] < 0:
-                row_neg(k)
-            done = True
-            for i in range(k + 1, m):
-                if A[i][k] % A[k][k] != 0:
-                    row_add(i, k, -(A[i][k] // A[k][k]))
-                    row_swap(i, k)
-                    done = False
-                    break
-            if not done:
+                A[k] = [-a for a in A[k]]
+            p = A[k][k]
+            # an entry of row or column k that p does not divide gives a smaller pivot
+            i = next((i for i in range(k + 1, m) if A[i][k] % p), None)
+            if i is not None:
+                row_add(i, k, -(A[i][k] // p))
+                A[i], A[k] = A[k], A[i]
                 continue
-            for j in range(k + 1, n):
-                if A[k][j] % A[k][k] != 0:
-                    col_add(j, k, -(A[k][j] // A[k][k]))
-                    col_swap(j, k)
-                    done = False
-                    break
-            if not done:
+            j = next((j for j in range(k + 1, n) if A[k][j] % p), None)
+            if j is not None:
+                col_add(j, k, -(A[k][j] // p))
+                col_swap(j, k)
                 continue
             for i in range(k + 1, m):
                 if A[i][k]:
-                    row_add(i, k, -(A[i][k] // A[k][k]))
+                    row_add(i, k, -(A[i][k] // p))
             for j in range(k + 1, n):
                 if A[k][j]:
-                    col_add(j, k, -(A[k][j] // A[k][k]))
-            # divisibility condition d_k | everything below-right
-            bad = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if A[i][j] % A[k][k] != 0:
-                        bad = (i, j)
-                        break
-                if bad:
-                    break
+                    col_add(j, k, -(A[k][j] // p))
+            # p must divide everything below-right; else add the first bad row to row k
+            bad = next((i for i in range(k + 1, m) if any(A[i][j] % p for j in range(k + 1, n))),
+                       None)
             if bad is None:
                 break
-            row_add(k, bad[0], 1)
-        k += 1
-    return A, S, T, Sinv, Tinv
+            row_add(k, bad, 1)
+    return A, Tinv
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +447,7 @@ def _cohomology(U: GModule, degree: int, N: int):
             if j in row and Q[j][j] == 1:
                 row = _combine(1, row, -row[j], Q[j], L)
         small.append([row.get(j, 0) for j in J])
-    D, _, _, _, Tinv = smith_normal_form(small)
+    D, Tinv = smith_normal_form(small)
     # Generator m of Z^J / span(small) is row m of Tinv; its cocycle x
     # solves H x = L z.  Back-substitution modulo L * det(H) keeps every
     # division exact and moves x only by L*Z^N, which lies in M.

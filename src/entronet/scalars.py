@@ -22,7 +22,8 @@ Factoring an integer takes three stages:
   finds most prime factors up to about 2**40 (see FACTORING_BUDGET).
 
 The primality tests and the Pollard-Brent steps of one call draw on one
-budget, FACTORING_BUDGET, each paid for before it runs.  Past it
+budget, FACTORING_BUDGET, each paid for before it runs; `is_prime` alone
+draws on a budget of the same size.  Past it
 FactoringBudgetExceeded is raised, which the command line reports as a usage
 error (exit 4).
 """
@@ -34,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt, prod
-from typing import Callable, Iterable
+from typing import Iterable
 
 Rational = Fraction
 
@@ -174,25 +175,32 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality: proven below _PSI_13, strong Baillie-PSW from there on."""
+    """Primality: proven below _PSI_13, strong Baillie-PSW from there on.
+
+    The tests draw on FACTORING_BUDGET as in factor_int, each stage paid
+    before it runs; past it, for a prime of about 3,500 bits or more, they
+    raise FactoringBudgetExceeded.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    return _is_odd_prime(n, lambda rounds: None)
+    return _is_odd_prime(n, _Budget())
 
 
-def _is_odd_prime(n: int, pay: Callable[[int], None]) -> bool:
-    """is_prime for n > 41 without a prime factor up to 41; pay(k) runs before
-    each stage, with its cost in Miller-Rabin rounds on n."""
+def _is_odd_prime(n: int, budget: _Budget) -> bool:
+    """is_prime for n > 41 without a prime factor up to 41.  Each stage is
+    paid from budget before it runs: a Miller-Rabin round on n costs about
+    one step per bit of n, and a strong Lucas test three rounds."""
+    round_units = n.bit_length() * _step_units(n)
     if n < _PSI_13:
-        pay(len(_MR_WITNESSES))
+        budget.spend(len(_MR_WITNESSES) * round_units, n)
         return all(_strong_probable_prime(n, a) for a in _MR_WITNESSES)
-    pay(1)
+    budget.spend(round_units, n)
     if not _strong_probable_prime(n, 2):
         return False
-    pay(3)
+    budget.spend(3 * round_units, n)
     return _strong_lucas_probable_prime(n)
 
 
@@ -261,11 +269,7 @@ def factor_int(n: int) -> tuple[tuple[int, int], ...]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        # a Miller-Rabin round on m costs about one step per bit of m
-        round_units = m.bit_length() * _step_units(m)
-        if m < TRIAL_DIVISION_BOUND**2 or _is_odd_prime(
-            m, lambda rounds: budget.spend(rounds * round_units, m)
-        ):
+        if m < TRIAL_DIVISION_BOUND**2 or _is_odd_prime(m, budget):
             out[m] = out.get(m, 0) + 1
         else:
             d = _pollard_brent(m, budget)

@@ -413,6 +413,13 @@ def _hfloat_dot(payload):
     return _Source(f"mode Hfloat\nobject Z = X+(1)\ndiagram D : Z -> Z {{ dot @0 {payload}; }}\n")
 
 
+def _jdot(payload):
+    return _Source(f"object Z = X+(1)\ndiagram D : Z -> Z {{ dot @0 {payload}; }}\n")
+
+
+_LONG = "9" * 5000
+
+
 @pytest.mark.parametrize(
     "argv, want",
     [
@@ -450,6 +457,13 @@ def _hfloat_dot(payload):
         (("validate", _hfloat_dot("1e999")), cli.EXIT_PARSE),
         (("validate", _hfloat_dot("-1e999")), cli.EXIT_PARSE),
         (("validate", _hfloat_dot(_BIG)), cli.EXIT_PARSE),
+        # payload keys are primes, each given once
+        (("jinv", _jdot("{4: 1}"), "--diagram", "D"), cli.EXIT_PARSE),
+        (("jinv", _jdot("{0: 1, 1: 5}"), "--diagram", "D", "--format", "float"), cli.EXIT_PARSE),
+        (("validate", _jdot("{2: 1, 2: 3}")), cli.EXIT_PARSE),
+        # integer literals past the interpreter's 4,300-digit str-to-int limit
+        (("validate", _Source(f"object E = X+({_LONG})\n")), cli.EXIT_PARSE),
+        (("validate", _jdot(f"{{{_LONG}: 1}}")), cli.EXIT_PARSE),
     ],
 )
 def test_bad_input_exit_codes(capsys, tmp_path, argv, want):

@@ -260,32 +260,29 @@ def test_shift_preserves_extension_profile():
 # -- smith normal form ------------------------------------------------------------
 
 
-def test_snf_transforms():
-    import random
+def test_snf_transform_and_diagonal():
+    """Oracles that share no code with smith_normal_form: Tinv is unimodular
+    (sympy's determinant), the rows of D*Tinv span the row lattice of A
+    (sympy's Hermite normal forms of the transposes agree), and D is diagonal
+    with each nonzero entry dividing the next."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
 
-    rng = random.Random(305)
-    for _ in range(30):
-        m, n = rng.randint(1, 5), rng.randint(1, 5)
-        A = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
-        D, S, T, Sinv, Tinv = smith_normal_form(A)
-        # S*A*T == D
-        SA = [[sum(S[i][k] * A[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
-        SAT = [[sum(SA[i][k] * T[k][j] for k in range(n)) for j in range(n)] for i in range(m)]
-        assert SAT == D
-        # inverses really invert
-        eye_m = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        eye_n = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        SS = [[sum(S[i][k] * Sinv[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
-        TT = [[sum(T[i][k] * Tinv[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        assert SS == eye_m and TT == eye_n
-        # diagonal with divisibility
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert D[i][j] == 0
-        diag = [D[i][i] for i in range(min(m, n)) if D[i][i]]
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
+    rng = seeded_rng(305)
+    for _ in range(300):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1] = [2 * x - y for x, y in zip(A[0], A[1])]  # force a rank drop
+        D, Tinv = smith_normal_form(A)
+        assert abs(sympy.Matrix(Tinv).det()) == 1
+        rows = sympy.Matrix(D) * sympy.Matrix(Tinv)
+        assert hermite_normal_form(rows.T) == hermite_normal_form(sympy.Matrix(A).T)
+        assert all(D[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+        diag = [D[i][i] for i in range(min(m, n))]
+        rank = sum(1 for d in diag if d)
+        assert all(d > 0 for d in diag[:rank]) and not any(diag[rank:])
+        assert all(b % a == 0 for a, b in zip(diag[:rank], diag[1:rank]))
 
 
 # -- the solver --------------------------------------------------------------------

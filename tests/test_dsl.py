@@ -77,6 +77,38 @@ def test_float_payload_past_the_double_range_position(payload):
     assert info.value.line == 3 and info.value.col == col  # points at the literal
 
 
+_DOT = "object Z = X+(1)\ndiagram D : Z -> Z {{ dot @0 {}; }}\n"
+_LONG = "9" * 5000  # past the interpreter's 4,300-digit str-to-int limit
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_DOT.format("{4: 1}"), "2:30: payload key 4 is not a prime"),
+        (_DOT.format("{0: 1, 1: 5}"), "2:30: payload key 0 is not a prime"),
+        (_DOT.format("{2: 1, 3: 1, 2: 3}"), "2:42: payload key 2 given twice"),
+        # a key is checked once its coefficient is read, so a syntax error there comes first
+        (_DOT.format("{4: x}"), "2:33: expected 'int', found 'x'"),
+        ("mode H\n" + _DOT.format("0 + {2: 1, 1: 1}"), "3:40: payload key 1 is not a prime"),
+        (f"object E = X+({_LONG})\n",
+         "1:15: integer literal of 5000 digits, past the limit of 4300"),
+        (f"object E = X+(-1/{_LONG})\n",
+         "1:18: integer literal of 5000 digits, past the limit of 4300"),
+        (_DOT.format(f"{{{_LONG}: 1}}"),
+         "2:30: integer literal of 5000 digits, past the limit of 4300"),
+        # a key that could be prime but is too long to test within the factoring budget
+        (_DOT.format(f"{{{2**14000 + 1}: 1}}"),
+         "2:30: payload key: cannot factor a 14001-bit number within the factoring budget"),
+    ],
+    ids=["composite", "zero", "repeated", "syntax-first", "one-in-H", "long-weight",
+         "long-denominator", "long-key", "untestable-key"],
+)
+def test_payload_keys_and_long_literals_are_refused_at_the_literal(text, message):
+    with pytest.raises(dsl.ParseError) as info:
+        dsl.parse(text)
+    assert str(info.value) == message
+
+
 def test_largest_float_payloads_round_trip():
     text = ("mode Hfloat\nobject Z = X+(1)\n"
             "diagram D : Z -> Z { dot @0 1.7976931348623157e308; dot @0 -5e-324; }\n")

@@ -28,6 +28,7 @@ from entronet.groupnet.cohomology import (
     coboundary1,
     coboundary2,
     h_solver,
+    smith_normal_form,
     verify_cocycle1,
 )
 from entronet.groupnet.diagrams import (
@@ -228,6 +229,21 @@ def test_criterion_8_stream():
             d = random_closed_gdiagram(rng, G, grow_layers=rng.randint(2, 9))
             drawn.append((c.module.moduli, c.values, d.layers))
     assert _sha(drawn) == "fe60d63f750a41f3"
+
+
+def test_smith_normal_forms():
+    """(D, Tinv) of 2,400 seeded integer matrices, 0 to 7 rows by 1 to 7
+    columns with entries in -9..9; in about a fifth of them the last row is
+    a combination of the first two."""
+    rng = _seeded(61)
+    out = []
+    for _ in range(2400):
+        m, n = rng.randint(0, 7), rng.randint(1, 7)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:
+            A[-1] = [2 * x - y for x, y in zip(A[0], A[1])]
+        out.append(smith_normal_form(A))
+    assert _sha(out) == PINS["smith"]
 
 
 def test_boundary_memo_is_invisible(draws):
@@ -452,6 +468,7 @@ PINS = {
     "rule_sites": "0b62e1354f2f1323",
     "normal_forms": "fef25aad1bfbe447",
     "reduction_layers": "c80ce946f2ca0c75",
-    "mutations": "e99fa65d87883d11",
+    "mutations": "08a058ca65943220",
     "commands": "d426c4f3840ce785",
+    "smith": "b664f7c872090b77",
 }

@@ -89,6 +89,16 @@ def test_is_prime_matches_sympy():
         assert is_prime(p)
 
 
+def test_is_prime_draws_on_the_factoring_budget():
+    """is_prime pays as factor_int does: it proves the 3217-bit Mersenne prime,
+    and refuses the 4253-bit one, whose strong Lucas test is past the budget."""
+    assert is_prime(2**3217 - 1) and factor_int(2**3217 - 1) == ((2**3217 - 1, 1),)
+    with pytest.raises(FactoringBudgetExceeded, match="4253-bit"):
+        is_prime(2**4253 - 1)
+    with pytest.raises(FactoringBudgetExceeded, match="14001-bit"):
+        is_prime(2**14000 + 1)  # refused before any round runs
+
+
 def _hard(n):
     """Whether n has two prime factors, with multiplicity, above 2**32."""
     from sympy import factorint
