@@ -25,6 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .jspace import (
@@ -33,9 +34,10 @@ from .jspace import (
     bracket_H_float,
     entropy_render,
     symbol,
+    symbol_sum,
 )
 from .mirror import mirrored, record, signed_pairs
-from .scalars import to_double
+from .scalars import format_rational, to_double
 from .slices import Calculus, LayerError
 
 Rational = Fraction
@@ -97,7 +99,7 @@ class Pt:
             raise ZeroMultiplicativeWeight("multiplicative weight must be nonzero")
 
     def __repr__(self) -> str:
-        return f"{self.kind.value}({self.weight})"
+        return f"{self.kind.value}({format_rational(self.weight)})"
 
 
 def xplus(a) -> Pt:
@@ -410,12 +412,7 @@ def object_weight(obj: Obj) -> AffWeight:
 def jstar(obj: Obj) -> PrimeVector:
     """Sum of symbols of successive prefixes of the effective weights."""
     bs = effective_weights(obj)
-    out = PrimeVector()
-    prefix = Fraction(0)
-    for i in range(len(bs) - 1):
-        prefix += bs[i]
-        out = out + symbol(prefix, bs[i + 1])
-    return out
+    return symbol_sum((1, prefix, b) for prefix, b in zip(accumulate(bs), bs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +420,18 @@ def jstar(obj: Obj) -> PrimeVector:
 
 
 class Mode(NamedTuple):
-    """One row of MODE_TABLE.  dot(payload) raises KindMismatch for a payload
-    of the wrong kind; entropy is None where a value is no entropy scalar."""
+    """One row of MODE_TABLE.  vertices(total, terms) adds each s * <a,b> in
+    terms to total; dot(payload) raises KindMismatch for a payload of the
+    wrong kind; entropy is None where a value is no entropy scalar; a sum
+    in walk_order (floats) adds the vertices before each dot."""
 
     zero: object
-    vertex: Callable[[Fraction, Fraction], object]
+    vertices: Callable[[object, list[tuple[Fraction, Fraction, Fraction]]], object]
     scale: Callable[[object, Fraction], object]
     dot: Callable[[DotPayload], object]
     equal: Callable[[object, object], bool]
     entropy: Callable[[object], EntropyScalar] | None
+    walk_order: bool = False
 
 
 def _payloads(kinds, message: str, value=lambda payload: payload):
@@ -443,10 +443,16 @@ def _payloads(kinds, message: str, value=lambda payload: payload):
     return dot
 
 
+def _float_vertices(total: float, terms) -> float:
+    for s, a, b in terms:
+        total = total + to_double(s) * bracket_H_float(to_double(a), to_double(b))
+    return total
+
+
 MODE_TABLE = {
     MODE_J: Mode(
         PrimeVector(),
-        symbol,
+        lambda total, terms: total + symbol_sum(terms),
         PrimeVector.scaled,
         _payloads(PrimeVector, "J-mode dots carry prime vectors"),
         operator.eq,
@@ -454,7 +460,7 @@ MODE_TABLE = {
     ),
     MODE_H: Mode(
         EntropyScalar.zero(),
-        lambda a, b: entropy_render(symbol(a, b)),
+        lambda total, terms: total + entropy_render(symbol_sum(terms)),
         EntropyScalar.scaled,
         _payloads(EntropyScalar, "H-mode dots carry entropy scalars"),
         operator.eq,
@@ -462,11 +468,12 @@ MODE_TABLE = {
     ),
     MODE_HFLOAT: Mode(
         0.0,
-        lambda a, b: bracket_H_float(to_double(a), to_double(b)),
+        _float_vertices,
         lambda value, w: to_double(w) * value,
         _payloads((float, int), "Hfloat-mode dots carry floats", to_double),
         lambda x, y: x == y or abs(x - y) <= FLOAT_TOL,  # inf - inf is nan
         None,
+        walk_order=True,
     ),
 }
 MODES = tuple(MODE_TABLE)
@@ -478,16 +485,20 @@ _VERTEX_SIGNS = signed_pairs({AddMerge: 1, AddMergeDual: -1})
 
 
 def _fold(mode: str, terms) -> object:
-    """Sum of a walk's winding-scaled terms (w, gen) in one mode's row."""
+    """Sum of a walk's winding-scaled terms (w, gen) in one mode's row: the
+    vertices (+-w, a, b) go in as one list, or in a walk_order row as one
+    list per run of vertices between dots."""
     row = MODE_TABLE[mode]
-    total = row.zero
+    total, run = row.zero, []
     for w, gen in terms:
         sign = _VERTEX_SIGNS.get(type(gen))
-        if sign is None:  # a dot
-            total = total + row.scale(row.dot(gen.payload), w)
-        else:
-            total = total + row.scale(row.vertex(gen.a, gen.b), w if sign > 0 else -w)
-    return total
+        if sign is not None:
+            run.append((w if sign > 0 else -w, gen.a, gen.b))
+            continue
+        if run and row.walk_order:
+            total, run = row.vertices(total, run), []
+        total = total + row.scale(row.dot(gen.payload), w)
+    return row.vertices(total, run) if run else total
 
 
 def j_invariant(d: Diagram):

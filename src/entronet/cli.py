@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 parse error,
-3 validation error, 4 usage error (an input past a size bound, the
-factoring budget or the double range included).  Results go to stdout,
+3 validation error, 4 usage error (an input past a size bound, a value
+that needs a factorization past the factoring budget, and a value past the
+double range or the printable digits included).  Results go to stdout,
 diagnostics to stderr; `--json` switches results to one JSON object.
 """
 
@@ -33,7 +34,8 @@ from .groupnet.diagrams import (
 )
 from .groupnet.groups import GModule, Group, GroupValidationError
 from .jspace import render_float
-from .scalars import DoubleRangeExceeded, FactoringBudgetExceeded, parse_rational
+from .scalars import DigitLimitExceeded, DoubleRangeExceeded, FactoringBudgetExceeded
+from .scalars import format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -106,7 +108,8 @@ def cmd_weight(args) -> int:
     resolved = _load(args.file)
     obj = _need(resolved.objects, args.object, "object")
     w = af.object_weight(obj)
-    _emit(args, [f"a = {w.a}", f"c = {w.c}"], {"a": str(w.a), "c": str(w.c)})
+    a, c = format_rational(w.a), format_rational(w.c)
+    _emit(args, [f"a = {a}", f"c = {c}"], {"a": a, "c": c})
     return EXIT_OK
 
 
@@ -128,7 +131,7 @@ def cmd_jinv(args) -> int:
         _emit(
             args,
             [value.pretty()],
-            {"constant": str(value.constant), "logpart": value.logpart.to_text()},
+            {"constant": format_rational(value.constant), "logpart": value.logpart.to_text()},
         )
     else:
         _emit(args, [value.to_text()], {"prime_vector": value.to_text()})
@@ -149,7 +152,7 @@ def cmd_entropy(args) -> int:
         [value.pretty(), repr(approx)],
         {
             "exact": value.pretty(),
-            "constant": str(value.constant),
+            "constant": format_rational(value.constant),
             "logpart": value.logpart.to_text(),
             "float": approx,
         },
@@ -492,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     except af.DiagramError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except (FactoringBudgetExceeded, DoubleRangeExceeded) as exc:
+    except (FactoringBudgetExceeded, DoubleRangeExceeded, DigitLimitExceeded) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,14 +15,15 @@ zero numerators.  The form is canonical, so equality compares it directly,
 and each sum or scaling reduces it with one gcd instead of building one
 Fraction per coefficient.
 
-`symbol` factors only what survives: it writes the six numerators and
-denominators over a pairwise coprime base, sums the integer coefficient of
-each base element, and factors just the elements whose coefficient is
-nonzero.  <N,N> = -2N log 2 never factors N.  A surviving element that does
-not factor within the Pollard-Brent budget raises
-`scalars.FactoringBudgetExceeded`.  When all six integers are below
-TRIAL_DIVISION_BOUND**2, where trial division alone factors them, each is
-factored directly (usually from factor_int's cache) and no base is built.
+`symbol_sum` adds many s*<a,b> and factors only what survives the sum.  It
+adds integer weights over one running denominator: a numerator or
+denominator below TRIAL_DIVISION_BOUND**2 through its primes (trial division,
+usually factor_int's cache), a larger one keyed by itself.  The large keys of
+nonzero total are refined into a pairwise coprime base, and only elements of
+nonzero coefficient are factored: a prefix sum that cancels is never
+factored, nor N in <N,N> = -2N log 2.  So `scalars.FactoringBudgetExceeded`
+means the value itself needs a factorization past the Pollard-Brent budget.
+`symbol` is the one-term sum.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .scalars import (
     TRIAL_DIVISION_BOUND,
@@ -154,45 +155,52 @@ def tensor_vector(a: Fraction, q: Fraction) -> PrimeVector:
     return PrimeVector({p: a * e for p, e in factor(q).exponents})
 
 
-def symbol(a: Fraction, b: Fraction) -> PrimeVector:
-    """The symbol <a,b> in normal form; a, b, a+b may each be zero."""
-    if type(a) is not Fraction or type(b) is not Fraction:
-        a, b = Fraction(a), Fraction(b)
-    # Over D, a*v(a) + b*v(b) - (a+b)*v(a+b) is (1/D) * sum of w * v(n) over
-    # the integer weights w = A, -A, B, -B, -C, C of the numerators and
-    # denominators n of a, b and a+b = C/D.
-    D = math.lcm(a.denominator, b.denominator)
-    A = a.numerator * (D // a.denominator)
-    B = b.numerator * (D // b.denominator)
-    C = A + B
-    g = math.gcd(C, D)
-    terms = []
-    for w, num, den in ((A, a.numerator, a.denominator), (B, b.numerator, b.denominator),
-                        (-C, C // g, D // g)):
-        if w:
-            terms += ((abs(num), w), (den, -w))
-    out: dict[int, int] = {}
-    if max((n for n, _ in terms), default=0) < TRIAL_DIVISION_BOUND**2:
-        # trial division alone factors each, from factor_int's cache when warm
-        for n, w in terms:
-            for p, k in factor_int(n):
-                c = out.get(p, 0) + w * k
-                if c:
-                    out[p] = c
-                else:
-                    del out[p]
-        return PrimeVector._of(out, D)
-    for e in coprime_base(n for n, _ in terms):
+def symbol_sum(terms: Iterable[tuple[Fraction, Fraction, Fraction]]) -> PrimeVector:
+    """The sum of s * <a,b> over the (s, a, b) in terms, in normal form."""
+    small = TRIAL_DIVISION_BOUND**2
+    den, out, large = 1, {}, {}  # out: prime -> numerator; large: n -> numerator
+    for s, a, b in terms:
+        if type(a) is not Fraction or type(b) is not Fraction:
+            a, b = Fraction(a), Fraction(b)
+        # Over D, a*v(a) + b*v(b) - (a+b)*v(a+b) is (1/D) * sum of w * v(n) over
+        # the integer weights w = A, -A, B, -B, -C, C of the numerators and
+        # denominators n of a, b and a+b = C/D; s/D is m/den.
+        D = math.lcm(a.denominator, b.denominator)
+        t = s.denominator * D
+        if den % t:  # bring every numerator over lcm(den, t)
+            k = t // math.gcd(den, t)
+            den *= k
+            out = {p: c * k for p, c in out.items()}
+            large = {n: c * k for n, c in large.items()}
+        m = s.numerator * (den // t)
+        A = a.numerator * (D // a.denominator)
+        B = b.numerator * (D // b.denominator)
+        C = A + B
+        g = math.gcd(C, D)
+        for w, num, d in ((A, a.numerator, a.denominator), (B, b.numerator, b.denominator),
+                          (-C, C // g, D // g)):
+            for n, c in ((abs(num), w * m), (d, -w * m)):
+                if n >= small:
+                    large[n] = large.get(n, 0) + c
+                elif n > 1:
+                    for p, k in factor_int(n):
+                        out[p] = out.get(p, 0) + c * k
+    large = {n: c for n, c in large.items() if c}
+    for e in coprime_base(large):
         c = 0
-        for n, w in terms:
+        for n, w in large.items():
             while n % e == 0:
                 n //= e
                 c += w
         if c:
-            # base elements are coprime, so each prime comes from one of them
             for p, k in factor_int(e):
-                out[p] = c * k
-    return PrimeVector._of(out, D)
+                out[p] = out.get(p, 0) + c * k
+    return PrimeVector._of({p: c for p, c in out.items() if c}, den)
+
+
+def symbol(a: Fraction, b: Fraction) -> PrimeVector:
+    """The symbol <a,b> in normal form; a, b, a+b may each be zero."""
+    return symbol_sum(((1, a, b),))
 
 
 def scale(c: Fraction, v: PrimeVector) -> PrimeVector:
@@ -229,12 +237,7 @@ class BetaSymbol:
 
 def beta_to_j(s: BetaSymbol) -> PrimeVector:
     """[a] |-> <a, 1-a>, extended linearly; [1] contributes zero."""
-    out = PrimeVector()
-    for coeff, gen in s.terms:
-        if gen == 1:
-            continue
-        out = out + symbol(gen, 1 - gen).scaled(coeff)
-    return out
+    return symbol_sum((coeff, gen, 1 - gen) for coeff, gen in s.terms)
 
 
 def j_to_beta(a: Fraction, b: Fraction) -> BetaSymbol:

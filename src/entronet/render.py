@@ -12,6 +12,7 @@ from html import escape
 
 from . import affine as af
 from .groupnet.diagrams import GDiagram, calculus
+from .scalars import format_rational
 
 LAYER_HEIGHT = 48.0
 STRAND_GAP = 42.0
@@ -58,7 +59,7 @@ class _Canvas:
 
 
 def _point_label(pt: af.Pt) -> str:
-    return f"{pt.kind.value}{pt.weight}"
+    return f"{pt.kind.value}{format_rational(pt.weight)}"
 
 
 def to_svg(d) -> str:

@@ -5,8 +5,9 @@ terms, positive denominator, arbitrary precision).  This module supplies the
 multiplicative bookkeeping the rest of the package needs: a nonzero rational
 decomposed into a sign and finitely many prime exponents, a pairwise coprime
 base for a few integers, and p-adic valuations.  `to_double` converts a
-rational to a double; past the double range it raises DoubleRangeExceeded,
-which the command line also reports as a usage error (exit 4).
+rational to a double, or raises DoubleRangeExceeded past the double range;
+`format_rational` prints one, or raises DigitLimitExceeded past the digits
+str() prints.  The command line reports both as a usage error (exit 4).
 
 Factoring an integer takes three stages:
 
@@ -30,6 +31,7 @@ error (exit 4).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -74,6 +76,10 @@ class FactoringBudgetExceeded(ValueError):
 
 class DoubleRangeExceeded(ValueError):
     """Raised when a rational converted to a double is past the largest finite one."""
+
+
+class DigitLimitExceeded(ValueError):
+    """Raised when a rational has more digits than str() prints (sys.get_int_max_str_digits)."""
 
 
 class _Budget:
@@ -372,7 +378,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    """q in decimal, or DigitLimitExceeded past the interpreter's digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DigitLimitExceeded(f"a value past the {limit}-digit limit cannot be printed") from None
 
 
 def to_double(q: Fraction | int | float) -> float:

@@ -415,6 +415,23 @@ def test_j_invariant_is_the_affine_group_fold():
     assert vertices > 500
 
 
+_HARD = 1152921504606859327 * 309485009821345068724848949  # a 61-bit times an 89-bit prime
+
+
+@pytest.mark.parametrize("mode", [af.MODE_J, af.MODE_H])
+def test_vertices_cancel_across_a_dot(mode):
+    """A merge and its split with a dot between them cancel, so their hard
+    integer N is never factored; a wrong-kind dot is refused before it would be."""
+    payload = PrimeVector({3: F(1, 2)})
+    payload = payload if mode == af.MODE_J else entropy_render(payload)
+    merge, split = (af.AddMerge(F(_HARD), F(1)), 0), (af.AddSplit(F(_HARD), F(1)), 0)
+    d = af.Diagram((X(_HARD), X(1)), (merge, (af.Dot(payload), 0), split), mode)
+    assert af.j_invariant(d) == payload.scaled(F(1))
+    wrong = af.Diagram((X(_HARD), X(1)), (merge, (af.Dot(0.5), 0)), mode)
+    with pytest.raises(af.KindMismatch):
+        af.j_invariant(wrong)
+
+
 # -- the mode table against the per-mode chains it replaced -----------------------
 
 

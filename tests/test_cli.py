@@ -418,6 +418,7 @@ def _jdot(payload):
 
 
 _LONG = "9" * 5000
+_NINES = "9" * 4000
 
 
 @pytest.mark.parametrize(
@@ -464,6 +465,13 @@ _LONG = "9" * 5000
         # integer literals past the interpreter's 4,300-digit str-to-int limit
         (("validate", _Source(f"object E = X+({_LONG})\n")), cli.EXIT_PARSE),
         (("validate", _jdot(f"{{{_LONG}: 1}}")), cli.EXIT_PARSE),
+        # computed values past that limit: a weight, and a sum of two dots
+        (("weight", _Source(f"object A = Y+({_NINES}) Y+({_NINES})\n"), "--object", "A"),
+         cli.EXIT_USAGE),
+        (("weight", _Source(f"object A = Y+({_NINES}) Y+({_NINES})\n"), "--object", "A", "--json"),
+         cli.EXIT_USAGE),
+        (("jinv", _jdot(f"{{2: 1/{3**8000}}}; dot @0 {{2: 1/{7**4000}}}"), "--diagram", "D"),
+         cli.EXIT_USAGE),
     ],
 )
 def test_bad_input_exit_codes(capsys, tmp_path, argv, want):

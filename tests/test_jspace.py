@@ -16,6 +16,7 @@ from entronet.jspace import (
     render_float,
     scale,
     symbol,
+    symbol_sum,
     tensor_vector,
     tsallis_entropy,
 )
@@ -164,6 +165,73 @@ def test_symbol_factors_only_what_survives():
     start = time.perf_counter()
     assert dict(symbol(F(n), F(n)).items()) == {2: -2 * n}
     assert symbol(n * F(3, 7), n * F(-5, 11)) == scale(n, symbol(F(3, 7), F(-5, 11)))
+    assert time.perf_counter() - start < 0.1
+
+
+_P61, _P89 = 1152921504606859327, 309485009821345068724848949
+_N = _P61 * _P89
+
+
+def _sum_by_sympy(terms, known):
+    """The sum of s * <a,b> over terms, each symbol from sympy's factorizations."""
+    want = {}
+    for s, a, b in terms:
+        for coeff, f in _factorizations(a, b, known):
+            for p, e in f.items():
+                want[p] = want.get(p, 0) + s * coeff * e
+    return {p: c for p, c in want.items() if c}
+
+
+def test_symbol_sum_matches_sympy():
+    """Sums over shared 29-40-bit primes, the semiprime N, integers on both
+    sides of TRIAL_DIVISION_BOUND**2, zero and negative scales, and term
+    lists that cancel to zero, against per-term sympy factorizations."""
+    import random
+
+    from sympy import nextprime, randprime
+
+    from entronet.scalars import TRIAL_DIVISION_BOUND
+
+    bound = TRIAL_DIVISION_BOUND**2
+    rng = random.Random(26)
+    for _ in range(60):
+        known = tuple(randprime(2**29, 2**40) for _ in range(rng.randint(1, 2)))
+        # every a, b and a + b of a term is a multiple of one m by a small rational
+        scaled = (1, *known, math.prod(known), _N, bound - 1, bound + 1, nextprime(bound))
+        single = (1, *known, bound - 1, nextprime(bound))
+
+        def small():
+            return _random_rational(rng, rng.randint(2, 24))
+
+        terms, cancels = [], rng.random() < 0.3
+        for _ in range(rng.randint(1, 5)):
+            s = rng.choice((F(0), 1, F(-1), F(rng.randint(-9, 9), rng.randint(1, 9))))
+            m = rng.choice(scaled)
+            a, b, c = m * small(), m * small(), m * small()
+            pick = rng.randrange(2 if cancels else 4)
+            if pick == 0:  # the cocycle relation: the four symbols cancel
+                terms += [(s, a, b), (s, a + b, c), (-s, b, c), (-s, a, b + c)]
+            elif pick == 1:  # symmetry cancels, and so does <N,N> - <N,N>
+                terms += [(s, a, b), (-s, b, a), (s, _N, _N), (-s, F(_N), F(_N))]
+            elif pick == 2:  # a and a + b multiples of two primes that survive
+                a = rng.choice(single) * small()
+                terms.append((s, a, rng.choice(single) * small() - a))
+            else:
+                terms.append((s, a, b))
+        want = _sum_by_sympy(terms, known + (_P61, _P89))
+        assert dict(symbol_sum(terms).items()) == want, terms
+        assert not cancels or want == {}
+
+
+def test_symbol_sum_factors_only_what_survives():
+    import time
+
+    start = time.perf_counter()
+    # N's multiples differ, so the refinement, not the keys, cancels N
+    assert symbol_sum([(1, _N * F(3, 7), _N * F(-5, 11)), (-_N, F(3, 7), F(-5, 11))]).is_zero()
+    # N, N + 1 and N + 2 each cancel between two symbols, leaving log 2 alone
+    terms = [(1, F(_N), F(1)), (1, F(_N + 1), F(1)), (-1, F(_N), F(2))]
+    assert symbol_sum(terms) == symbol(F(1), F(1))
     assert time.perf_counter() - start < 0.1
 
 

@@ -7,7 +7,6 @@ from entronet import affine as af
 from entronet import cli, dsl
 from entronet import rewrite as rw
 from entronet.sampling import random_diagram, seeded_rng
-from entronet.scalars import FactoringBudgetExceeded
 
 
 def X(a):
@@ -313,23 +312,44 @@ def test_normalize_dot_is_the_skeleton_difference(mode):
             assert nd == old and label.to_text() == old_label.to_text()
 
 
-def _seed1_chain_diagram():
-    """200 strands whose evaluation refuses: a prefix sum has an 89-bit numerator."""
+def _seed1_chain(blocks=40):
+    """Outer weights and three inner weights per block, five strands a block."""
     rng = random.Random(1)
 
     def weight():
         return F(rng.randint(1, 50), rng.randint(1, 50))
 
-    z = [weight() for _ in range(40)]
-    ys = [[weight() for _ in range(3)] for _ in range(40)]
-    return af.chain_diagrams(z, ys)[0]
+    z = [weight() for _ in range(blocks)]
+    ys = [[weight() for _ in range(3)] for _ in range(blocks)]
+    return z, ys
+
+
+def _seed1_chain_diagram():
+    """200 strands; a prefix sum of its weights has an 89-bit numerator that
+    cancels in the value."""
+    return af.chain_diagrams(*_seed1_chain())[0]
+
+
+def _closed_form(z, ys):
+    """The sum of psi(w) over the composite weights w = p*q, minus psi(W) of
+    their total, psi(x) = -x*log|x|, from sympy's factorizations."""
+    from sympy import factorint
+
+    from entronet.jspace import EntropyScalar, PrimeVector
+
+    ws = [p * q for p, y in zip(z, ys) for q in y]
+    logpart = {}
+    for x, sign in [(w, 1) for w in ws] + [(sum(ws), -1)]:
+        for n, e in ((abs(x.numerator), 1), (x.denominator, -1)):
+            for p, k in factorint(n).items():
+                logpart[p] = logpart.get(p, 0) - sign * x * e * k
+    return EntropyScalar(F(0), PrimeVector(logpart))
 
 
 def test_normalize_factors_nothing_on_a_refused_chain_diagram():
     d = _seed1_chain_diagram()
     assert len(d.source) == 200
-    with pytest.raises(FactoringBudgetExceeded):
-        af.j_invariant(d)
+    assert af.j_invariant(d) == _closed_form(*_seed1_chain())
     nd = rw.normalize(d)
     assert nd.source == d.source and af.validate(nd) == af.validate(d)
     assert _split_dot(nd)[0].is_zero()
@@ -346,3 +366,27 @@ def test_normalize_command_on_a_refused_chain_diagram(tmp_path):
     assert cli.main(["validate", str(out)]) == 0
     normal = dsl.resolve(dsl.parse(out.read_text())).diagrams["chain_normal"]
     assert normal == rw.normalize(d)
+
+
+def test_jinv_command_on_a_refused_chain_diagram(tmp_path, capsys):
+    d = _seed1_chain_diagram()
+    src, tgt = dsl.object_to_decl("src", d.source), dsl.object_to_decl("tgt", af.validate(d))
+    decl = dsl.diagram_to_decl("chain", "src", "tgt", d)
+    path = tmp_path / "chain.net"
+    path.write_text(dsl.print_source(dsl.SourceFile((src, tgt, decl), d.mode)))
+    assert cli.main(["jinv", str(path), "--diagram", "chain", "--format", "entropy"]) == 0
+    assert capsys.readouterr().out == _closed_form(*_seed1_chain()).pretty() + "\n"
+
+
+@pytest.mark.parametrize("blocks", [40, 80, 160])
+def test_seed1_chain_pairs_evaluate_to_the_closed_form(blocks):
+    """Both forms of the chain rule at 200, 400 and 800 strands; the hard
+    prefix sums cancel, and the only hard factoring is of the total."""
+    import time
+
+    z, ys = _seed1_chain(blocks)
+    want = _closed_form(z, ys)
+    for d in af.chain_diagrams(z, ys):
+        start = time.perf_counter()
+        assert af.j_invariant(d) == want
+        assert time.perf_counter() - start < 1.0
